@@ -39,32 +39,23 @@ def _char(p) -> int:
     return check_characteristic(p)
 
 
-class _IndependenceTester:
-    """Incremental linear independence over Q or over GF(p)."""
-
-    def __init__(self, n: int, p: int):
-        self.n = n
-        self.p = p
-
-    def reduce(self, rows: list, v: Sequence[int]):
-        """Reduce v against echelon rows; returns the new echelon row or
-        None when v is dependent."""
-        p = self.p
-        if p:
-            w = [x % p for x in v]
-            for pos, row in rows:
-                if w[pos]:
-                    f = w[pos] * pow(row[pos], p - 2, p) % p
-                    w = [(a - f * b) % p for a, b in zip(w, row)]
-            pos = next((i for i, x in enumerate(w) if x), None)
-            return None if pos is None else (pos, w)
+def _reduce_independent(rows: list, v: Sequence[int], p: int):
+    """Reduce v against echelon rows over Q (p = 0) or GF(p); returns the
+    new echelon row or None when v is dependent."""
+    if p:
+        w = [x % p for x in v]
+        for pos, row in rows:
+            if w[pos]:
+                f = w[pos] * pow(row[pos], p - 2, p) % p
+                w = [(a - f * b) % p for a, b in zip(w, row)]
+    else:
         w = list(v)
         for pos, row in rows:
             if w[pos]:
                 a, b = row[pos], w[pos]
                 w = [a * x - b * y for x, y in zip(w, row)]
-        pos = next((i for i, x in enumerate(w) if x), None)
-        return None if pos is None else (pos, w)
+    pos = next((i for i, x in enumerate(w) if x), None)
+    return None if pos is None else (pos, w)
 
 
 def enumerate_bases(
@@ -79,7 +70,6 @@ def enumerate_bases(
     n = len(pts[0])
     if rank(pts) < n:
         raise NotFullRankError("generators do not span full rank")
-    tester = _IndependenceTester(n, p)
     out: list[tuple[Vector, ...]] = []
     m = len(pts)
 
@@ -92,7 +82,7 @@ def enumerate_bases(
             return
         # Not enough points left to complete the subset.
         for i in range(start, m - (n - depth) + 1):
-            new_row = tester.reduce(rows, pts[i])
+            new_row = _reduce_independent(rows, pts[i], p)
             if new_row is not None:
                 extend(i + 1, chosen + [pts[i]], rows + [new_row])
 
@@ -126,6 +116,13 @@ def _pareto_filter(points: Iterable[Vector], cone: Cone) -> list[Vector]:
         kept.append(pt)
         kept_evals.append(ev)
     return kept
+
+
+def _newton_polyhedron(C: Cone, p: int, max_bases: int | None) -> LatticePolyhedron:
+    """Conv(basis sums of the Hilbert basis of C) + C, built from the sums
+    that can be vertices."""
+    sums = basis_sums(hilbert_basis(C), p, max_bases=max_bases)
+    return LatticePolyhedron(_pareto_filter(sums, C), C)
 
 
 def nash_children(S: AffineSemigroup, p, *, max_bases: int = DEFAULT_BASIS_CAP):
@@ -178,10 +175,7 @@ def normalized_nash_children(C: Cone, p, *, max_bases: int | None = None):
         raise NotFullRankError("normalized Nash blowup needs a full-dimensional cone")
     if not C.is_pointed():
         raise NotPointedError("normalized Nash blowup needs a pointed cone")
-    H = hilbert_basis(C)
-    sums = basis_sums(H, p, max_bases=max_bases)
-    points = _pareto_filter(sums, C)
-    P = LatticePolyhedron(points, C)
+    P = _newton_polyhedron(C, p, max_bases)
     children: dict[str, Cone] = {}
     for v in P.vertices():
         child = feasible_cone(v, P)
@@ -213,11 +207,7 @@ def nash_subdivision(sigma: Cone, p) -> Fan:
         raise NotFullRankError("nash_subdivision needs a full-dimensional cone")
     if not sigma.is_pointed():
         raise NotPointedError("nash_subdivision needs a pointed cone")
-    dual = dual_cone(sigma)
-    H = hilbert_basis(dual)
-    sums = basis_sums(H, p)
-    points = _pareto_filter(sums, dual)
-    P = LatticePolyhedron(points, dual)
+    P = _newton_polyhedron(dual_cone(sigma), p, None)
     pieces = [dual_cone(feasible_cone(v, P)) for v in P.vertices()]
     pieces.sort(key=lambda c: c.rays)
     return Fan(sigma.ambient_rank, tuple(pieces))

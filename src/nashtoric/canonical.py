@@ -174,21 +174,20 @@ def canonical_cone(C: Cone) -> tuple[CanonicalKey, IntMatrix]:
 
 def canonical_semigroup(S: AffineSemigroup) -> CanonicalKey:
     """Canonical key of a pointed full-rank affine semigroup."""
-    with S._lock:
-        cached = S._cache.get("canonical")
-        if cached is not None:
-            return cached
-        _, us = _canonical_cone_data(S.hull)
-        best = None
-        for U in us:
-            image = sorted(U.mult_vector(g) for g in S.generators)
-            M = IntMatrix.from_columns(image)
-            key = tuple(x for row in M.data for x in row)
-            if best is None or key < best[0]:
-                best = (key, M)
-        result = CanonicalKey.from_matrix(best[1])
-        S._cache["canonical"] = result
-        return result
+    cached = S._cache.get("canonical")
+    if cached is not None:
+        return cached
+    _, us = _canonical_cone_data(S.hull)
+    best = None
+    for U in us:
+        image = sorted(U.mult_vector(g) for g in S.generators)
+        M = IntMatrix.from_columns(image)
+        key = tuple(x for row in M.data for x in row)
+        if best is None or key < best[0]:
+            best = (key, M)
+    result = CanonicalKey.from_matrix(best[1])
+    S._cache["canonical"] = result
+    return result
 
 
 def are_equivalent(X, Y) -> bool:

@@ -226,8 +226,7 @@ def subdivide(matrix_file, side, characteristic, as_json):
 @click.option("--store", "store_path", type=click.Path(), default=None, help="persistent store file")
 @click.option("--max-vertices", type=int, default=10**6, show_default=True)
 @click.option("--max-seconds", type=float, default=86400.0, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
-def explore(matrix_file, side, mode, characteristic, as_json, store_path, max_vertices, max_seconds, threads):
+def explore(matrix_file, side, mode, characteristic, as_json, store_path, max_vertices, max_seconds):
     """Breadth-first resolution subgraph of the input vertex."""
     matrix = _read_matrix(matrix_file)
     if mode == "nash":
@@ -242,7 +241,6 @@ def explore(matrix_file, side, mode, characteristic, as_json, store_path, max_ve
         start,
         max_vertices=max_vertices,
         max_seconds=max_seconds,
-        threads=threads,
     )
     if store_path:
         store.save(store_path)
@@ -315,8 +313,7 @@ def reeves(rank, j, as_json):
 @click.option("--entry-bound", type=int, default=5, show_default=True)
 @click.option("--max-vertices", type=int, default=50_000, show_default=True)
 @click.option("--max-seconds", type=float, default=600.0, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
-def sample(mode, characteristic, as_json, rank, count, seed, entry_bound, max_vertices, max_seconds, threads):
+def sample(mode, characteristic, as_json, rank, count, seed, entry_bound, max_vertices, max_seconds):
     """Random sampling run; reports resolved / exhausted / cycle counts."""
     summary = sample_random(
         rank,
@@ -327,7 +324,6 @@ def sample(mode, characteristic, as_json, rank, count, seed, entry_bound, max_ve
         characteristic=characteristic,
         max_vertices=max_vertices,
         max_seconds=max_seconds,
-        threads=threads,
     )
     d = summary.to_dict()
     human = (

@@ -7,7 +7,6 @@ done by homogenization: points p lift to (p, 1), recession rays r lift to
 (r, 0), and vertices are read off the extreme rays of the lifted cone.
 """
 
-import threading
 from collections.abc import Iterable, Sequence
 
 from .errors import InputError, NotFullRankError, NotPointedError
@@ -158,25 +157,15 @@ class Cone:
 
     Generators are primitivized and deduplicated on construction; the
     extreme rays, facet normals and lineality space are computed lazily
-    and cached (cache access is serialized, cones are otherwise
-    immutable and safe to share between threads).
+    and cached.  The caches take no lock; cones are otherwise immutable.
     """
 
-    __slots__ = ("_gens", "_n", "_lock", "_cache")
+    __slots__ = ("_gens", "_n", "_cache")
 
     def __init__(self, generators):
         self._gens = _normalize_columns(generators)
         self._n = len(self._gens[0])
-        self._lock = threading.RLock()
         self._cache: dict = {}
-
-    @classmethod
-    def from_generators(cls, generators) -> "Cone":
-        return cls(generators)
-
-    @classmethod
-    def unimodular(cls, n: int) -> "Cone":
-        return cls(IntMatrix.identity(n))
 
     @property
     def ambient_rank(self) -> int:
@@ -188,10 +177,9 @@ class Cone:
         return self._gens
 
     def _cached(self, key, compute):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = compute()
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     # -- dual description ------------------------------------------------
 
@@ -214,16 +202,6 @@ class Cone:
     def span_equalities(self) -> tuple[Vector, ...]:
         """Normals vanishing on the cone; empty iff full-dimensional."""
         return self._dual_data()[0]
-
-    @property
-    def facet_matrix(self) -> IntMatrix:
-        eq, fac = self._dual_data()
-        rows = list(fac) + [r for e in eq for r in (e, tuple(-x for x in e))]
-        return IntMatrix(rows)
-
-    @property
-    def generator_matrix(self) -> IntMatrix:
-        return IntMatrix.from_columns(self.rays)
 
     # -- structural predicates -------------------------------------------
 
@@ -291,15 +269,6 @@ class Cone:
 
         return self._cached("_dual_cone", compute)
 
-    def grading(self) -> Vector:
-        """Sum of the facet normals: strictly positive on the cone minus
-        the origin when the cone is pointed."""
-        if not self.is_pointed():
-            raise NotPointedError("grading needs a pointed cone")
-        eq, fac = self._dual_data()
-        rows = list(fac) + list(eq)
-        return tuple(sum(col) for col in zip(*rows))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Cone)
@@ -316,32 +285,8 @@ class Cone:
         return f"Cone([{cols}])"
 
 
-def cone_from_generators(G) -> Cone:
-    return Cone(G)
-
-
 def dual_cone(C: Cone) -> Cone:
     return C.dual()
-
-
-def is_pointed(C: Cone) -> bool:
-    return C.is_pointed()
-
-
-def is_full_dimensional(C: Cone) -> bool:
-    return C.is_full_dimensional()
-
-
-def is_simplicial(C: Cone) -> bool:
-    return C.is_simplicial()
-
-
-def is_unimodular_cone(C: Cone) -> bool:
-    return C.is_unimodular()
-
-
-def contains(C: Cone, v: Sequence[int]) -> bool:
-    return C.contains(v)
 
 
 class LatticePolyhedron:

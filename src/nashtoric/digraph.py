@@ -8,10 +8,10 @@ a JSON-lines file and merge by set union when their metadata agree.
 """
 
 import json
+import os
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .blowup import nash_children, normalized_nash_children
 from .canonical import CanonicalKey, canonical_cone, canonical_semigroup
@@ -107,21 +107,33 @@ class DigraphStore:
     # -- persistence -------------------------------------------------------
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.meta) + "\n")
-            for key in sorted(self.vertices):
-                fh.write(
-                    json.dumps(
-                        {
-                            "kind": "vertex",
-                            "key": key,
-                            "matrix": self.vertices[key].to_lists(),
-                        }
+        """Write the store as JSON lines.  The lines go to a temporary file
+        beside path that then replaces it, so a save that fails partway
+        leaves any earlier file at path as it was."""
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(self.meta) + "\n")
+                for key in sorted(self.vertices):
+                    fh.write(
+                        json.dumps(
+                            {
+                                "kind": "vertex",
+                                "key": key,
+                                "matrix": self.vertices[key].to_lists(),
+                            }
+                        )
+                        + "\n"
                     )
-                    + "\n"
-                )
-            for src, dst in sorted(self.edges):
-                fh.write(json.dumps({"kind": "edge", "from": src, "to": dst}) + "\n")
+                for src, dst in sorted(self.edges):
+                    fh.write(json.dumps({"kind": "edge", "from": src, "to": dst}) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "DigraphStore":
@@ -178,31 +190,27 @@ def _payload_is_unimodular(matrix: IntMatrix) -> bool:
 
 
 def _compute_children(
-    mode: str, characteristic: int, matrix: IntMatrix
+    store: DigraphStore, matrix: IntMatrix
 ) -> list[tuple[str, IntMatrix]]:
-    """Children of a canonical payload as (key, payload) pairs.  Pure."""
+    """Children of a canonical payload of the store as (key, payload)
+    pairs; the store itself is not changed."""
+    # All unimodular vertices share the store's epsilon key byte-exactly.
+    eps = (store.epsilon, store.vertices[store.epsilon])
     if _payload_is_unimodular(matrix):
-        key = epsilon_key(mode, matrix.rows)
-        return [(key.serialization, key.matrix)]
-    eps = epsilon_key(mode, matrix.rows)
-    out: dict[str, IntMatrix] = {}
-    if mode == "nash":
+        return [eps]
+    nash = store.mode == "nash"
+    if nash:
         S = AffineSemigroup(matrix.columns(), assume_minimal=True)
-        for child in nash_children(S, characteristic):
-            # All unimodular semigroups share the epsilon key byte-exactly.
-            if child.is_unimodular():
-                out.setdefault(eps.serialization, eps.matrix)
-                continue
-            k = canonical_semigroup(child)
-            out.setdefault(k.serialization, k.matrix)
+        kids = nash_children(S, store.characteristic)
     else:
-        C = Cone(matrix)
-        for child in normalized_nash_children(C, characteristic):
-            if child.is_unimodular():
-                out.setdefault(eps.serialization, eps.matrix)
-                continue
-            k = canonical_cone(child)[0]
-            out.setdefault(k.serialization, k.matrix)
+        kids = normalized_nash_children(Cone(matrix), store.characteristic)
+    out: dict[str, IntMatrix] = {}
+    for child in kids:
+        if child.is_unimodular():
+            out.setdefault(*eps)
+            continue
+        k = canonical_semigroup(child) if nash else canonical_cone(child)[0]
+        out.setdefault(k.serialization, k.matrix)
     return sorted(out.items())
 
 
@@ -243,7 +251,7 @@ def expand(store: DigraphStore, vertex, payload: IntMatrix | None = None):
         store.add_vertex(key, matrix)
     if store.is_expanded(key):
         return store.children_of(key)
-    children = _compute_children(store.mode, store.characteristic, matrix)
+    children = _compute_children(store, matrix)
     for child_key, child_matrix in children:
         store.add_vertex(child_key, child_matrix)
         store.add_edge(key, child_key)
@@ -277,67 +285,33 @@ def resolution_subgraph(
 ):
     """Breadth-first expansion of all descendants of start (Algorithm-1
     style): dequeue, skip vertices whose children are already recorded,
-    otherwise expand and enqueue the children.
+    otherwise expand and enqueue the children not seen before.
 
     Returns Complete with the reachable vertex and edge counts, or
-    BudgetExhausted with the remaining frontier.  The resulting vertex and
-    edge sets are independent of the traversal order and thread count."""
+    BudgetExhausted with the remaining frontier, each key once in BFS
+    order.  The resulting vertex and edge sets are independent of the
+    traversal order.  Expansion is serial: threads must be positive and
+    has no other effect."""
     if max_vertices <= 0 or max_seconds <= 0 or threads <= 0:
         raise InputError("budgets and thread count must be positive")
     start_key, start_matrix = vertex_key(store, start)
     store.add_vertex(start_key, start_matrix)
     deadline = time.monotonic() + max_seconds
-    visited: set[str] = set()
+    seen = {start_key}
     queue: deque[str] = deque([start_key])
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while queue:
-            if time.monotonic() > deadline or len(visited) >= max_vertices:
-                frontier = tuple(k for k in queue if k not in visited)
-                return BudgetExhausted(
-                    frontier, store.vertex_count(), store.edge_count()
-                )
-            batch: list[str] = []
-            while queue and len(batch) < max(1, threads):
-                key = queue.popleft()
-                if key not in visited and key not in batch:
-                    batch.append(key)
-            if not batch:
-                continue
-            need = [k for k in batch if not store.is_expanded(k)]
-            if pool is not None and len(need) > 1:
-                computed = dict(
-                    zip(
-                        need,
-                        pool.map(
-                            lambda k: _compute_children(
-                                store.mode, store.characteristic, store.vertices[k]
-                            ),
-                            need,
-                        ),
-                    )
-                )
-            else:
-                computed = {
-                    k: _compute_children(
-                        store.mode, store.characteristic, store.vertices[k]
-                    )
-                    for k in need
-                }
-            for key in batch:
-                visited.add(key)
-                if key in computed:
-                    for child_key, child_matrix in computed[key]:
-                        store.add_vertex(child_key, child_matrix)
-                        store.add_edge(key, child_key)
-                for child in store.children_of(key):
-                    if child not in visited:
-                        queue.append(child)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    reach_edges = sum(len(store._out[k]) for k in visited)
-    return Complete(len(visited), reach_edges)
+    expanded = 0
+    while queue:
+        if time.monotonic() > deadline or expanded >= max_vertices:
+            return BudgetExhausted(
+                tuple(queue), store.vertex_count(), store.edge_count()
+            )
+        expanded += 1
+        for child in expand(store, queue.popleft()):
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+    reach_edges = sum(len(store._out[k]) for k in seen)
+    return Complete(len(seen), reach_edges)
 
 
 def _tarjan_sccs(keys, out_edges) -> list[list[str]]:

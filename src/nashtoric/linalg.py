@@ -108,10 +108,6 @@ def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_add(u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def make_primitive(v: Sequence[int]) -> Vector:
     """Divide a nonzero integer vector by the gcd of its entries."""
     g = 0

@@ -89,7 +89,8 @@ def sample_random(
     store: DigraphStore | None = None,
 ) -> SampleSummary:
     """Explore `count` random rank-n cones (normalized mode) or semigroups
-    (nash mode); fully reproducible from the seed."""
+    (nash mode); fully reproducible from the seed.  threads goes to
+    resolution_subgraph, which checks it and otherwise ignores it."""
     if rank_ not in (2, 3, 4, 5):
         raise InputError("rank must be one of 2, 3, 4, 5")
     if entry_bound < 1:

@@ -11,7 +11,6 @@ membership is a bounded search graded by a strictly positive functional.
 """
 
 import itertools
-import threading
 from collections.abc import Iterable, Sequence
 
 from .cones import Cone
@@ -174,7 +173,7 @@ def hilbert_basis(C: Cone) -> tuple[Vector, ...]:
 class AffineSemigroup:
     """Pointed affine semigroup given by its minimal generating set."""
 
-    __slots__ = ("_gens", "_n", "_lock", "_cache")
+    __slots__ = ("_gens", "_n", "_cache")
 
     def __init__(self, generators: Iterable[Sequence[int]], *, assume_minimal=False):
         gens = tuple(
@@ -189,7 +188,6 @@ class AffineSemigroup:
             gens = _minimalize(gens)
         self._gens = gens
         self._n = n
-        self._lock = threading.RLock()
         self._cache: dict = {}
 
     @classmethod
@@ -206,28 +204,22 @@ class AffineSemigroup:
         return self._gens
 
     @property
-    def hilbert_basis_matrix(self) -> IntMatrix:
-        return IntMatrix.from_columns(self._gens)
-
-    @property
     def hull(self) -> Cone:
-        with self._lock:
-            if "hull" not in self._cache:
-                self._cache["hull"] = Cone(self._gens)
-            return self._cache["hull"]
+        if "hull" not in self._cache:
+            self._cache["hull"] = Cone(self._gens)
+        return self._cache["hull"]
 
     def _membership_solver(self) -> "_MembershipSolver":
-        with self._lock:
-            if "solver" not in self._cache:
-                hull = self.hull
-                if not hull.is_pointed():
-                    raise NotPointedError(
-                        "semigroup membership needs a pointed hull"
-                    )
-                self._cache["solver"] = _MembershipSolver(
-                    self._gens, _facet_rows(hull)
+        if "solver" not in self._cache:
+            hull = self.hull
+            if not hull.is_pointed():
+                raise NotPointedError(
+                    "semigroup membership needs a pointed hull"
                 )
-            return self._cache["solver"]
+            self._cache["solver"] = _MembershipSolver(
+                self._gens, _facet_rows(hull)
+            )
+        return self._cache["solver"]
 
     def is_full_lattice(self) -> bool:
         """True iff the generators span all of Z^n as a lattice."""
@@ -243,9 +235,6 @@ class AffineSemigroup:
             len(self._gens) == self._n
             and abs(determinant(IntMatrix.from_columns(self._gens))) == 1
         )
-
-    def member(self, v: Sequence[int]) -> bool:
-        return semigroup_member(self, v)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AffineSemigroup) and self._gens == other._gens

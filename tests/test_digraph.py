@@ -143,6 +143,17 @@ class TestResolutionSubgraph:
         assert set(fresh.vertices) == set(st.vertices)
         assert fresh.edges == st.edges
 
+    @pytest.mark.parametrize("p, max_vertices", [(2, 2), (3, 10)])
+    def test_budget_frontier_lists_each_key_once(self, p, max_vertices):
+        st = DigraphStore("normalized", p, 4)
+        status = resolution_subgraph(st, Cone(LOOP4_COLS), max_vertices=max_vertices)
+        assert isinstance(status, BudgetExhausted)
+        assert len(set(status.frontier)) == len(status.frontier)
+        # The frontier is every stored vertex this run reached but did not
+        # expand; the epsilon vertex is expanded from the start.
+        unexpanded = {k for k in st.vertices if not st.is_expanded(k)}
+        assert unexpanded <= set(status.frontier) <= unexpanded | {st.epsilon}
+
     def test_thread_determinism(self):
         B = Cone(LOOP4_COLS)
         stores = []
@@ -295,6 +306,29 @@ class TestPersistence:
         }
         assert set(lines[1]) == {"kind", "key", "matrix"}
         assert set(lines[2]) == {"kind", "from", "to"}
+
+
+    def test_failed_save_keeps_old_file(self, tmp_path, chi_cone, monkeypatch):
+        st = DigraphStore("normalized", 0, 2)
+        path = tmp_path / "store.jsonl"
+        st.save(path)
+        before = path.read_bytes()
+        resolution_subgraph(st, chi_cone)
+        to_lists = IntMatrix.to_lists
+        calls = []
+
+        def fail_after_first(self):
+            calls.append(self)
+            if len(calls) > 1:
+                raise RuntimeError("disk gone")
+            return to_lists(self)
+
+        monkeypatch.setattr(IntMatrix, "to_lists", fail_after_first)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            st.save(path)
+        assert len(calls) == 2
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["store.jsonl"]
 
 
 class TestExportDot:
