@@ -25,23 +25,19 @@ from .linalg import (
 from .cones import (
     Cone,
     LatticePolyhedron,
-    dual_cone,
     dual_description,
     feasible_cone,
-    polyhedron_vertices,
 )
 from .semigroups import (
     AffineSemigroup,
     full_rank_normalize,
     hilbert_basis,
     is_saturated,
-    is_unimodular_semigroup,
     minimal_generators,
     semigroup_member,
 )
 from .canonical import CanonicalKey, are_equivalent, canonical_cone, canonical_semigroup
 from .blowup import (
-    Characteristic,
     Fan,
     basis_sums,
     enumerate_bases,
@@ -49,8 +45,6 @@ from .blowup import (
     nash_subdivision,
     normalized_nash_children,
     reeves_cone,
-    standard_semigroup,
-    unimodular_cone,
 )
 from .digraph import (
     BudgetExhausted,
@@ -70,7 +64,6 @@ __all__ = [
     "BasisCapExceeded",
     "BudgetExhausted",
     "CanonicalKey",
-    "Characteristic",
     "Complete",
     "Cone",
     "DigraphStore",
@@ -89,7 +82,6 @@ __all__ = [
     "canonical_cone",
     "canonical_semigroup",
     "determinant",
-    "dual_cone",
     "dual_description",
     "enumerate_bases",
     "expand",
@@ -102,7 +94,6 @@ __all__ = [
     "hilbert_basis",
     "is_basis_modulo",
     "is_saturated",
-    "is_unimodular_semigroup",
     "lattice_index",
     "make_primitive",
     "minimal_generators",
@@ -110,12 +101,9 @@ __all__ = [
     "nash_subdivision",
     "normalized_nash_children",
     "parse_matrix",
-    "polyhedron_vertices",
     "reeves_cone",
     "resolution_subgraph",
     "sample_random",
     "semigroup_member",
     "smith_normal_form",
-    "standard_semigroup",
-    "unimodular_cone",
 ]

@@ -8,6 +8,7 @@ generators of sigma in N instead.
 """
 
 import json
+import os
 import sys
 
 import click
@@ -21,7 +22,7 @@ from .blowup import (
     reeves_cone,
 )
 from .canonical import canonical_cone, canonical_semigroup
-from .cones import Cone, dual_cone
+from .cones import Cone
 from .digraph import (
     Complete,
     DigraphStore,
@@ -32,7 +33,7 @@ from .digraph import (
 from .errors import NashToricError
 from .linalg import IntMatrix, format_matrix, parse_matrix
 from .sampling import sample_random
-from .semigroups import AffineSemigroup, hilbert_basis, minimal_generators
+from .semigroups import hilbert_basis, minimal_generators
 
 
 def _read_matrix(path: str) -> IntMatrix:
@@ -44,7 +45,16 @@ def _read_matrix(path: str) -> IntMatrix:
 
 def _cone_in_M(matrix: IntMatrix, side: str) -> Cone:
     cone = Cone(matrix)
-    return dual_cone(cone) if side == "N" else cone
+    return cone.dual() if side == "N" else cone
+
+
+def _start_vertex(matrix: IntMatrix, side: str, mode: str):
+    """The semigroup (nash mode) or the cone in M that the columns give."""
+    if mode != "nash":
+        return _cone_in_M(matrix, side)
+    if side == "N":
+        raise NashToricError("nash mode takes semigroup generators in M")
+    return minimal_generators(matrix.columns())
 
 
 def _emit(as_json: bool, payload: dict, human: str) -> None:
@@ -55,8 +65,6 @@ def _emit(as_json: bool, payload: dict, human: str) -> None:
 
 
 def _load_or_create_store(path, mode, char, rank) -> DigraphStore:
-    import os
-
     if path and os.path.exists(path):
         store = DigraphStore.load(path)
         if store.mode != mode or store.characteristic != char:
@@ -128,7 +136,7 @@ def hilbert(matrix_file, side, as_json):
 def dual(matrix_file, as_json):
     """Extreme rays of the dual cone (columns)."""
     C = Cone(_read_matrix(matrix_file))
-    D = dual_cone(C)
+    D = C.dual()
     M = IntMatrix.from_columns(D.rays)
     _emit(
         as_json,
@@ -170,15 +178,13 @@ def canon(matrix_file, side, as_json, kind):
 @json_opt
 def children(matrix_file, side, mode, characteristic, as_json):
     """One blowup step: the children of the cone or semigroup."""
-    matrix = _read_matrix(matrix_file)
+    start = _start_vertex(_read_matrix(matrix_file), side, mode)
     if mode == "nash":
-        if side == "N":
-            raise NashToricError("nash mode takes semigroup generators in M")
-        kids = nash_children(minimal_generators(matrix.columns()), characteristic)
+        kids = nash_children(start, characteristic)
         keys = [canonical_semigroup(k).serialization for k in kids]
         cols = [[list(g) for g in k.generators] for k in kids]
     else:
-        kids = normalized_nash_children(_cone_in_M(matrix, side), characteristic)
+        kids = normalized_nash_children(start, characteristic)
         keys = [canonical_cone(k)[0].serialization for k in kids]
         cols = [[list(r) for r in k.rays] for k in kids]
     human = [f"# {len(kids)} children"]
@@ -201,7 +207,7 @@ def subdivide(matrix_file, side, characteristic, as_json):
     """Nash subdivision of sigma in N (maximal cones of the normal fan)."""
     matrix = _read_matrix(matrix_file)
     cone = Cone(matrix)
-    sigma = cone if side == "N" else dual_cone(cone)
+    sigma = cone if side == "N" else cone.dual()
     fan = nash_subdivision(sigma, characteristic)
     human = [f"# {len(fan)} maximal cones"]
     for piece in fan:
@@ -228,13 +234,7 @@ def subdivide(matrix_file, side, characteristic, as_json):
 @click.option("--max-seconds", type=float, default=86400.0, show_default=True)
 def explore(matrix_file, side, mode, characteristic, as_json, store_path, max_vertices, max_seconds):
     """Breadth-first resolution subgraph of the input vertex."""
-    matrix = _read_matrix(matrix_file)
-    if mode == "nash":
-        if side == "N":
-            raise NashToricError("nash mode takes semigroup generators in M")
-        start = minimal_generators(matrix.columns())
-    else:
-        start = _cone_in_M(matrix, side)
+    start = _start_vertex(_read_matrix(matrix_file), side, mode)
     store = _load_or_create_store(store_path, mode, characteristic, start.ambient_rank)
     status = resolution_subgraph(
         store,

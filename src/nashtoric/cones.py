@@ -9,7 +9,7 @@ done by homogenization: points p lift to (p, 1), recession rays r lift to
 
 from collections.abc import Iterable, Sequence
 
-from .errors import InputError, NotFullRankError, NotPointedError
+from .errors import InputError, NotPointedError
 from .linalg import (
     IntMatrix,
     Vector,
@@ -203,6 +203,12 @@ class Cone:
         """Normals vanishing on the cone; empty iff full-dimensional."""
         return self._dual_data()[0]
 
+    def inequality_rows(self) -> tuple[Vector, ...]:
+        """Rows a with cone = {x : a . x >= 0}: the facet normals, then each
+        span equality followed by its negative."""
+        eq, fac = self._dual_data()
+        return fac + tuple(r for e in eq for r in (e, tuple(-x for x in e)))
+
     # -- structural predicates -------------------------------------------
 
     def is_full_dimensional(self) -> bool:
@@ -241,8 +247,7 @@ class Cone:
                     if rank(tight) == self._n - 1:
                         out.append(g)
                 return tuple(sorted(out))
-            ineqs = list(fac) + [r for e in eq for r in (e, tuple(-x for x in e))]
-            _, r = dual_description(ineqs, self._n)
+            _, r = dual_description(self.inequality_rows(), self._n)
             return r
 
         return self._cached("rays", compute)
@@ -257,8 +262,7 @@ class Cone:
 
         def compute():
             eq, fac = self._dual_data()
-            gens = list(fac) + [r for e in eq for r in (e, tuple(-x for x in e))]
-            d = Cone(gens)
+            d = Cone(self.inequality_rows())
             if self.is_pointed() and not eq:
                 # Pointed and full-dimensional: each description is the
                 # other's, so prime the caches both ways.
@@ -283,10 +287,6 @@ class Cone:
     def __repr__(self) -> str:
         cols = ", ".join(str(list(g)) for g in self._gens)
         return f"Cone([{cols}])"
-
-
-def dual_cone(C: Cone) -> Cone:
-    return C.dual()
 
 
 class LatticePolyhedron:
@@ -338,10 +338,6 @@ class LatticePolyhedron:
 
     def __repr__(self) -> str:
         return f"LatticePolyhedron({len(self.points)} points, rec={self.recession!r})"
-
-
-def polyhedron_vertices(P: LatticePolyhedron) -> tuple[Vector, ...]:
-    return P.vertices()
 
 
 def feasible_cone(v: Sequence[int], P: LatticePolyhedron) -> Cone:

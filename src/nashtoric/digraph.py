@@ -44,7 +44,6 @@ class DigraphStore:
         self.characteristic = check_characteristic(characteristic)
         self.rank = rank
         self.vertices: dict[str, IntMatrix] = {}
-        self.edges: set[tuple[str, str]] = set()
         self._out: dict[str, set[str]] = {}
         eps = epsilon_key(mode, rank)
         self.add_vertex(eps.serialization, eps.matrix)
@@ -61,6 +60,11 @@ class DigraphStore:
             "rank": self.rank,
         }
 
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """The (source, target) pairs, read from the out-neighbour sets."""
+        return frozenset((s, d) for s, dsts in self._out.items() for d in dsts)
+
     def add_vertex(self, key: str, matrix: IntMatrix) -> None:
         if matrix.rows != self.rank:
             raise StoreError(
@@ -71,13 +75,14 @@ class DigraphStore:
             if existing != matrix:
                 raise StoreError(f"conflicting payloads for key {key!r}")
             return
+        if key != CanonicalKey.from_matrix(matrix).serialization:
+            raise StoreError(f"key {key!r} does not serialize its payload")
         self.vertices[key] = matrix
         self._out.setdefault(key, set())
 
     def add_edge(self, src: str, dst: str) -> None:
         if src not in self.vertices or dst not in self.vertices:
             raise StoreError("edge endpoints must be stored vertices")
-        self.edges.add((src, dst))
         self._out[src].add(dst)
 
     def children_of(self, key: str) -> tuple[str, ...]:
@@ -90,7 +95,7 @@ class DigraphStore:
         return len(self.vertices)
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(len(dsts) for dsts in self._out.values())
 
     def merge(self, other: "DigraphStore") -> None:
         if (self.mode, self.characteristic, self.rank) != (
@@ -138,8 +143,10 @@ class DigraphStore:
     @classmethod
     def load(cls, path) -> "DigraphStore":
         store: DigraphStore | None = None
-        pending_vertices: list[tuple[str, IntMatrix]] = []
-        pending_edges: list[tuple[str, str]] = []
+        # Vertices and edges are added once the meta line is known; each
+        # keeps its line number for the error that adding it may raise.
+        pending_vertices: list[tuple[int, str, IntMatrix]] = []
+        pending_edges: list[tuple[int, str, str]] = []
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -164,10 +171,10 @@ class DigraphStore:
                             raise StoreError("conflicting meta lines")
                     elif kind == "vertex":
                         pending_vertices.append(
-                            (rec["key"], IntMatrix(rec["matrix"]))
+                            (lineno, rec["key"], IntMatrix(rec["matrix"]))
                         )
                     elif kind == "edge":
-                        pending_edges.append((rec["from"], rec["to"]))
+                        pending_edges.append((lineno, rec["from"], rec["to"]))
                     else:
                         raise StoreError(f"unknown record kind {kind!r}")
                 except StoreError as exc:
@@ -178,10 +185,13 @@ class DigraphStore:
                     ) from None
         if store is None:
             raise StoreError(f"{path}: no meta line found")
-        for key, matrix in pending_vertices:
-            store.add_vertex(key, matrix)
-        for src, dst in pending_edges:
-            store.add_edge(src, dst)
+        try:
+            for lineno, key, matrix in pending_vertices:
+                store.add_vertex(key, matrix)
+            for lineno, src, dst in pending_edges:
+                store.add_edge(src, dst)
+        except StoreError as exc:
+            raise StoreError(f"{path}: line {lineno}: {exc}") from None
         return store
 
 
@@ -375,13 +385,13 @@ def find_cycles(store: DigraphStore, max_report: int | None = None):
         members = set(scc)
         if len(scc) == 1:
             v = scc[0]
-            if v == store.epsilon or (v, v) not in store.edges:
+            if v == store.epsilon or v not in store._out[v]:
                 continue
             cycles.append([v])
             continue
         # Shortest cycle through the smallest vertex, deterministic BFS.
         source = scc[0]
-        if (source, source) in store.edges:
+        if source in store._out[source]:
             cycles.append([source])
             continue
         parent: dict[str, str] = {}

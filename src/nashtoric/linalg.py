@@ -7,11 +7,14 @@ are exact for every input; nothing here ever touches floating point.
 The Hermite normal form convention is row-style: each row's pivot (first
 nonzero entry) lies strictly to the right of the pivot above, pivots are
 positive, and entries above a pivot are nonnegative and strictly smaller
-than the pivot.
+than the pivot.  hnf_column_step computes one column of it, and the
+canonical-form search of canonical.py places its columns with that same
+step, so the convention behind canonical keys lives here alone.
 """
 
 from collections.abc import Iterable, Sequence
 from math import gcd
+from operator import mul
 
 from .errors import InputError, NotFullRankError
 
@@ -118,59 +121,67 @@ def make_primitive(v: Sequence[int]) -> Vector:
     return tuple(x // g for x in v)
 
 
+def hnf_column_step(
+    U: tuple[Vector, ...], r: int, col: Sequence[int]
+) -> tuple[tuple[Vector, ...], int, Vector]:
+    """One column of the row-style Hermite normal form.
+
+    U is the row transform accumulated over the earlier columns and r the
+    number of pivots found so far.  The column U * col is reduced among
+    rows r.. by Euclidean steps (the entry of least magnitude, first such
+    row on ties, divides the others), the surviving entry moves to row r
+    and is made positive, and the entries above it are reduced to
+    [0, pivot).  Returns (new U, new r, the committed HNF column); later
+    steps never change a committed column.  Rows of U are tuples, so a
+    caller may branch from the same U many times."""
+    m = len(col)
+    u = [sum(map(mul, row, col)) for row in U]
+    W = list(U)
+    while True:
+        nz = [i for i in range(r, m) if u[i]]
+        if len(nz) <= 1:
+            break
+        i0 = min(nz, key=lambda i: abs(u[i]))
+        p, P = u[i0], W[i0]
+        for i in nz:
+            if i == i0:
+                continue
+            q = u[i] // p
+            if q:
+                u[i] -= q * p
+                W[i] = tuple(a - q * b for a, b in zip(W[i], P))
+    if nz:
+        i0 = nz[0]
+        if i0 != r:
+            u[r], u[i0] = u[i0], u[r]
+            W[r], W[i0] = W[i0], W[r]
+        if u[r] < 0:
+            u[r] = -u[r]
+            W[r] = tuple(-x for x in W[r])
+        p, P = u[r], W[r]
+        for i in range(r):
+            q = u[i] // p
+            if q:
+                u[i] -= q * p
+                W[i] = tuple(a - q * b for a, b in zip(W[i], P))
+        r += 1
+    return tuple(W), r, tuple(u)
+
+
 def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 
     Returns (H, U) with U * A = H, |det U| = 1, and H the unique matrix in
-    Hermite normal form with the same row lattice as A.
-    """
-    m, n = A.rows, A.cols
-    H = [list(row) for row in A.data]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    Hermite normal form with the same row lattice as A.  H is built one
+    column at a time by hnf_column_step, from the identity transform."""
+    m = A.rows
+    U = tuple(tuple(int(i == k) for k in range(m)) for i in range(m))
     r = 0
-    for j in range(n):
-        if r == m:
-            break
-        # Euclidean elimination of column j below row r.
-        while True:
-            nz = [i for i in range(r, m) if H[i][j] != 0]
-            if len(nz) <= 1:
-                break
-            i0 = min(nz, key=lambda i: abs(H[i][j]))
-            p = H[i0][j]
-            for i in nz:
-                if i == i0:
-                    continue
-                q = H[i][j] // p
-                if q:
-                    Hi, Hp = H[i], H[i0]
-                    for k in range(n):
-                        Hi[k] -= q * Hp[k]
-                    Ui, Up = U[i], U[i0]
-                    for k in range(m):
-                        Ui[k] -= q * Up[k]
-        nz = [i for i in range(r, m) if H[i][j] != 0]
-        if not nz:
-            continue
-        i0 = nz[0]
-        if i0 != r:
-            H[r], H[i0] = H[i0], H[r]
-            U[r], U[i0] = U[i0], U[r]
-        if H[r][j] < 0:
-            H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
-        p = H[r][j]
-        for i in range(r):
-            q = H[i][j] // p
-            if q:
-                Hi, Hr = H[i], H[r]
-                for k in range(n):
-                    Hi[k] -= q * Hr[k]
-                Ui, Ur = U[i], U[r]
-                for k in range(m):
-                    Ui[k] -= q * Ur[k]
-        r += 1
-    return IntMatrix(H), IntMatrix(U)
+    cols = []
+    for col in zip(*A.data):
+        U, r, h = hnf_column_step(U, r, col)
+        cols.append(h)
+    return IntMatrix(zip(*cols)), IntMatrix(U)
 
 
 def determinant(A: IntMatrix) -> int:

@@ -14,7 +14,7 @@ from .cones import Cone
 from .errors import InputError
 from .linalg import check_characteristic, rank
 from .semigroups import AffineSemigroup, minimal_generators
-from .digraph import BudgetExhausted, Complete, DigraphStore, find_cycles, resolution_subgraph
+from .digraph import Complete, DigraphStore, find_cycles, resolution_subgraph
 
 DISTRIBUTION = "uniform entries with rejection (pointed, full rank)"
 

@@ -20,10 +20,8 @@ from .linalg import (
     Vector,
     determinant,
     dot,
-    hermite_normal_form,
     lattice_basis_of_columns,
     rank,
-    vec_sub,
 )
 
 
@@ -122,28 +120,28 @@ def _parallelepiped_points(cols: Sequence[Vector]) -> list[Vector]:
     return out
 
 
-def _reduce_to_hilbert(
-    candidates: Iterable[Vector], facets: Sequence[Vector]
+def drop_dominated(
+    points: Iterable[Vector], facets: Sequence[Vector]
 ) -> tuple[Vector, ...]:
-    """Keep exactly the indecomposable candidates of a saturated semigroup.
+    """The points that dominate no other kept point, sorted.
 
-    Candidates must generate C n Z^n.  Processing by increasing grade, a
-    candidate is decomposable iff subtracting some kept element lands back
-    in the cone."""
-    w = tuple(sum(col) for col in zip(*facets))
-    graded = sorted(set(candidates), key=lambda c: (dot(w, c), c))
+    q is dominated by p when every facet value of q is at least that of p,
+    i.e. q - p lies in the cone {x : f . x >= 0 for every facet f}.  Points
+    are taken by increasing sum of facet values, so each dominated point
+    meets a kept point that it dominates.  Two uses:
+    - on candidates that generate C n Z^n, with the facets of C, the kept
+      points are the indecomposable ones, the Hilbert basis;
+    - on points P with the facets of a cone C, a dropped point lies in
+      another point + C and is never a vertex of conv(P) + C."""
+    evals = {pt: tuple(dot(f, pt) for f in facets) for pt in points}
     kept: list[Vector] = []
     kept_evals: list[tuple[int, ...]] = []
-    for c in graded:
-        ev = tuple(dot(f, c) for f in facets)
-        reducible = False
-        for qe in kept_evals:
-            if all(a >= b for a, b in zip(ev, qe)):
-                reducible = True
-                break
-        if not reducible:
-            kept.append(c)
-            kept_evals.append(ev)
+    for pt in sorted(evals, key=lambda pt: (sum(evals[pt]), pt)):
+        ev = evals[pt]
+        if any(all(a >= b for a, b in zip(ev, qe)) for qe in kept_evals):
+            continue
+        kept.append(pt)
+        kept_evals.append(ev)
     return tuple(sorted(kept))
 
 
@@ -165,7 +163,7 @@ def hilbert_basis(C: Cone) -> tuple[Vector, ...]:
                 candidates.update(
                     _parallelepiped_points([rays[i] for i in simplex])
                 )
-        return _reduce_to_hilbert(candidates, C.facet_normals)
+        return drop_dominated(candidates, C.facet_normals)
 
     return C._cached("hilbert", compute)
 
@@ -217,7 +215,7 @@ class AffineSemigroup:
                     "semigroup membership needs a pointed hull"
                 )
             self._cache["solver"] = _MembershipSolver(
-                self._gens, _facet_rows(hull)
+                self._gens, hull.inequality_rows()
             )
         return self._cache["solver"]
 
@@ -245,11 +243,6 @@ class AffineSemigroup:
     def __repr__(self) -> str:
         cols = ", ".join(str(list(g)) for g in self._gens)
         return f"AffineSemigroup([{cols}])"
-
-
-def _facet_rows(hull: Cone) -> list[Vector]:
-    eq, fac = hull._dual_data()
-    return list(fac) + [r for e in eq for r in (e, tuple(-x for x in e))]
 
 
 class _MembershipSolver:
@@ -411,7 +404,7 @@ def semigroup_member(S, v: Sequence[int]) -> bool:
         hull = Cone(gens)
         if not hull.is_pointed():
             raise NotPointedError("semigroup membership needs a pointed hull")
-        solver = _MembershipSolver(gens, _facet_rows(hull))
+        solver = _MembershipSolver(gens, hull.inequality_rows())
     return solver.member(tuple(int(x) for x in v))
 
 
@@ -424,7 +417,7 @@ def _minimalize(gens: tuple[Vector, ...], hull: Cone | None = None) -> tuple[Vec
         hull = Cone(gens)
     if not hull.is_pointed():
         raise NotPointedError("generators span a non-pointed cone")
-    solver = _MembershipSolver(gens, _facet_rows(hull))
+    solver = _MembershipSolver(gens, hull.inequality_rows())
     evals = {g: solver.eval_point(g) for g in gens}
     order = sorted(gens, key=lambda g: (sum(evals[g]), g))
     kept = []
@@ -445,16 +438,20 @@ def _minimalize(gens: tuple[Vector, ...], hull: Cone | None = None) -> tuple[Vec
     return tuple(sorted(kept))
 
 
-def minimal_generators(G: Iterable[Sequence[int]]) -> AffineSemigroup:
-    """The affine semigroup generated by G, reduced to its unique minimal
-    generating set.  G must span a pointed full-rank cone."""
+def _full_rank_generators(G: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
+    """The distinct nonzero vectors of G, sorted; they must span full rank."""
     gens = tuple(sorted({tuple(int(x) for x in g) for g in G if any(tuple(g))}))
     if not gens:
         raise InputError("no nonzero generators given")
-    n = len(gens[0])
-    if rank(gens) < n:
+    if rank(gens) < len(gens[0]):
         raise NotFullRankError("generators do not span full rank")
-    return AffineSemigroup(gens)
+    return gens
+
+
+def minimal_generators(G: Iterable[Sequence[int]]) -> AffineSemigroup:
+    """The affine semigroup generated by G, reduced to its unique minimal
+    generating set.  G must span a pointed full-rank cone."""
+    return AffineSemigroup(_full_rank_generators(G))
 
 
 def full_rank_normalize(
@@ -466,14 +463,9 @@ def full_rank_normalize(
     basis matrix of the original lattice: original = basis @ transformed.
     When the lattice is already Z^n the basis is the identity and the
     semigroup is unchanged."""
-    gens = tuple(sorted({tuple(int(x) for x in g) for g in G if any(tuple(g))}))
-    if not gens:
-        raise InputError("no nonzero generators given")
-    n = len(gens[0])
-    if rank(gens) < n:
-        raise NotFullRankError("generators do not span full rank")
+    gens = _full_rank_generators(G)
     B = lattice_basis_of_columns(IntMatrix.from_columns(gens))
-    if B == IntMatrix.identity(n):
+    if B == IntMatrix.identity(len(gens[0])):
         return AffineSemigroup(gens), B
     new_gens = [_solve_lower_triangular(B, g) for g in gens]
     return AffineSemigroup(new_gens), B
@@ -489,10 +481,6 @@ def _solve_lower_triangular(B: IntMatrix, g: Vector) -> Vector:
             raise NotFullRankError("point is not in the lattice of the basis")
         x[i] = s // piv
     return tuple(x)
-
-
-def is_unimodular_semigroup(S: AffineSemigroup) -> bool:
-    return S.is_unimodular()
 
 
 def is_saturated(S: AffineSemigroup) -> bool:

@@ -1,6 +1,6 @@
 import pytest
 
-from nashtoric import Cone, NotPointedError, analyze, reeves_cone, unimodular_cone
+from nashtoric import Cone, IntMatrix, NotPointedError, analyze, reeves_cone
 from nashtoric.linalg import dot
 
 from conftest import A1_COLS, A2_COLS, A3_COLS
@@ -32,7 +32,7 @@ class TestPaperFixtures:
 class TestGeneral:
     def test_epsilon(self):
         for n in (2, 3, 4):
-            report = analyze(unimodular_cone(n))
+            report = analyze(Cone(IntMatrix.identity(n)))
             assert report.simplicial
             assert report.index == 1
             assert report.gorenstein

@@ -6,23 +6,20 @@ import pytest
 from nashtoric import (
     AffineSemigroup,
     BasisCapExceeded,
-    Characteristic,
     Cone,
     InputError,
+    IntMatrix,
     NotFullRankError,
     are_equivalent,
     basis_sums,
     canonical_cone,
     canonical_semigroup,
-    dual_cone,
     enumerate_bases,
     hilbert_basis,
     nash_children,
     nash_subdivision,
     normalized_nash_children,
     reeves_cone,
-    standard_semigroup,
-    unimodular_cone,
 )
 from nashtoric.blowup import semigroup_product
 from nashtoric.linalg import dot, rank
@@ -93,10 +90,10 @@ def assert_valid_subdivision(sigma: Cone, fan) -> None:
 
 class TestCharacteristic:
     def test_validation(self):
-        assert Characteristic(0).p == 0
-        assert Characteristic(7).p == 7
+        assert enumerate_bases([(1,)], 0) == [((1,),)]
+        assert enumerate_bases([(1,)], 7) == [((1,),)]
         with pytest.raises(InputError):
-            Characteristic(4)
+            enumerate_bases([(1,)], 4)
         with pytest.raises(InputError):
             enumerate_bases([(1,)], 6)
 
@@ -183,7 +180,7 @@ class TestNashChildren:
         assert got == want
 
     def test_standard_fixed_point(self):
-        S = standard_semigroup(2)
+        S = AffineSemigroup.standard(2)
         children = nash_children(S, 0)
         assert len(children) == 1
         assert children[0].generators == S.generators
@@ -260,7 +257,7 @@ class TestNormalizedChildren:
         children = normalized_nash_children(Cone([(1, 0), (3, 5)]), 0)
         got = {canonical_cone(c)[0].serialization for c in children}
         want = {
-            canonical_cone(unimodular_cone(2))[0].serialization,
+            canonical_cone(Cone(IntMatrix.identity(2)))[0].serialization,
             canonical_cone(Cone([(1, 0), (1, 3)]))[0].serialization,
         }
         assert got == want
@@ -271,7 +268,7 @@ class TestNormalizedChildren:
         assert any(are_equivalent(c, loop4_cone) for c in children)
 
     def test_unimodular_fixed_point(self):
-        eps = unimodular_cone(3)
+        eps = Cone(IntMatrix.identity(3))
         children = normalized_nash_children(eps, 0)
         assert len(children) == 1
         assert are_equivalent(children[0], eps)
@@ -305,7 +302,7 @@ class TestSubdivision:
         assert_valid_subdivision(sigma, fan)
 
     def test_unimodular_identity(self):
-        eps = unimodular_cone(2)
+        eps = Cone(IntMatrix.identity(2))
         fan = nash_subdivision(eps, 0)
         assert len(fan) == 1
         assert fan.maximal_cones[0].rays == eps.rays
@@ -316,11 +313,11 @@ class TestSubdivision:
             sigma = random_pointed_cone(rng, rng.choice([2, 3]), bound=3)
             fan = nash_subdivision(sigma, 0)
             keys_fan = {
-                canonical_cone(dual_cone(piece))[0].serialization for piece in fan
+                canonical_cone(piece.dual())[0].serialization for piece in fan
             }
             keys_children = {
                 canonical_cone(c)[0].serialization
-                for c in normalized_nash_children(dual_cone(sigma), 0)
+                for c in normalized_nash_children(sigma.dual(), 0)
             }
             assert keys_fan == keys_children
 

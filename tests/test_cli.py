@@ -74,6 +74,13 @@ def test_children_nash_cusp(runner, tmp_path):
     assert data["children"][0]["columns"] == [[2], [3]]
 
 
+@pytest.mark.parametrize("command", ["children", "explore"])
+def test_nash_mode_rejects_side_n(runner, chi_file, command):
+    r = runner.invoke(main, [command, chi_file, "--mode", "nash", "--side", "N"])
+    assert r.exit_code == 2
+    assert "nash mode takes semigroup generators in M" in r.output
+
+
 def test_subdivide(runner, tmp_path):
     p = tmp_path / "sigma.txt"
     p.write_text("-1 3\n2 -1\n")

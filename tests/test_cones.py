@@ -8,9 +8,7 @@ from nashtoric import (
     IntMatrix,
     LatticePolyhedron,
     NotPointedError,
-    dual_cone,
     feasible_cone,
-    polyhedron_vertices,
 )
 from nashtoric.linalg import dot, rank
 
@@ -41,15 +39,15 @@ class TestConstruction:
 
 class TestDual:
     def test_quadrant_self_dual(self):
-        assert dual_cone(QUADRANT).rays == QUADRANT.rays
+        assert QUADRANT.dual().rays == QUADRANT.rays
 
     def test_appendix_pair(self):
         sigma = Cone([(-1, 2), (3, -1)])
-        assert set(dual_cone(sigma).rays) == {(2, 1), (1, 3)}
+        assert set(sigma.dual().rays) == {(2, 1), (1, 3)}
 
     def test_running_example_dual(self):
         C = Cone(RUNNING_COLS)
-        D = dual_cone(C)
+        D = C.dual()
         assert set(D.rays) == set(RUNNING_INEQS)
         assert len(D.rays) == 8
 
@@ -57,7 +55,7 @@ class TestDual:
         rng = random.Random(23)
         for _ in range(120):
             C = random_pointed_cone(rng, rng.choice([2, 3]))
-            assert dual_cone(dual_cone(C)).rays == C.rays
+            assert C.dual().dual().rays == C.rays
 
 
 class TestPredicates:
@@ -136,11 +134,11 @@ class TestFacetRayIncidence:
 class TestPolyhedron:
     def test_single_point(self):
         P = LatticePolyhedron([(5, 7)], Cone([(1, 0), (1, 5)]))
-        assert polyhedron_vertices(P) == ((5, 7),)
+        assert P.vertices() == ((5, 7),)
 
     def test_translate_absorbed(self):
         P = LatticePolyhedron([(1, 1), (3, 2)], Cone([(2, 1), (0, 1)]))
-        assert polyhedron_vertices(P) == ((1, 1),)
+        assert P.vertices() == ((1, 1),)
 
     def test_appendix_polyhedron_against_sweep_oracle(self):
         points = [(3, 4), (3, 3), (3, 2), (2, 5), (2, 4), (2, 3)]
@@ -148,11 +146,11 @@ class TestPolyhedron:
         oracle = vertices_by_functional_sweep(points, recession)
         assert oracle == {(3, 2), (2, 3), (2, 5)}
         P = LatticePolyhedron(points, Cone(recession))
-        assert set(polyhedron_vertices(P)) == oracle
+        assert set(P.vertices()) == oracle
 
     def test_bounded_square(self):
         P = LatticePolyhedron([(0, 0), (1, 0), (0, 1), (1, 1)], None)
-        assert set(polyhedron_vertices(P)) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+        assert set(P.vertices()) == {(0, 0), (1, 0), (0, 1), (1, 1)}
         assert feasible_cone((0, 0), P).rays == ((0, 1), (1, 0))
 
     def test_vertices_subset_and_membership(self):
@@ -164,7 +162,7 @@ class TestPolyhedron:
                 for _ in range(rng.randint(1, 7))
             }
             P = LatticePolyhedron(pts, C)
-            vs = set(polyhedron_vertices(P))
+            vs = set(P.vertices())
             assert vs <= set(P.points)
             hull = LatticePolyhedron(vs, C)
             for p in P.points:
@@ -197,7 +195,7 @@ class TestFeasibleCone:
                 for _ in range(rng.randint(1, 5))
             }
             P = LatticePolyhedron(pts, C)
-            for v in polyhedron_vertices(P):
+            for v in P.vertices():
                 F = feasible_cone(v, P)
                 assert F.is_pointed() and F.is_full_dimensional()
                 for r in C.rays:

@@ -292,6 +292,39 @@ class TestPersistence:
         with pytest.raises(StoreError, match="line 4"):
             DigraphStore.load(bad)
 
+    def test_load_checks_each_key_against_its_payload(self, tmp_path, chi_cone):
+        st = DigraphStore("normalized", 0, 2)
+        resolution_subgraph(st, chi_cone)
+        path = tmp_path / "store.jsonl"
+        st.save(path)
+        lines = path.read_text().splitlines()
+        lineno = next(
+            i for i, line in enumerate(lines, 1) if "[[1, 1], [0, 3]]" in line
+        )
+        edited = [line.replace("[[1, 1], [0, 3]]", "[[8, 1], [0, 3]]") for line in lines]
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(StoreError, match=rf"store\.jsonl: line {lineno}: key"):
+            DigraphStore.load(path)
+
+    def test_payload_must_match_key(self):
+        st = DigraphStore("normalized", 0, 2)
+        with pytest.raises(StoreError, match="does not serialize"):
+            expand(st, "2 x 2: 1,1,0,3", IntMatrix([[8, 1], [0, 3]]))
+        assert "2 x 2: 1,1,0,3" not in st.vertices
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    def test_deferred_record_error_names_path_and_line(self, tmp_path, kind):
+        st = DigraphStore("normalized", 0, 2)
+        path = tmp_path / "s.jsonl"
+        st.save(path)
+        if kind == "vertex":  # a rank-3 payload in a rank-2 store
+            record = {"kind": "vertex", "key": "3 x 1: 1,2,3", "matrix": [[1], [2], [3]]}
+        else:  # an edge to a vertex the store does not hold
+            record = {"kind": "edge", "from": st.epsilon, "to": "2 x 2: 1,1,0,3"}
+        path.write_text(path.read_text() + json.dumps(record) + "\n")
+        with pytest.raises(StoreError, match=r"s\.jsonl: line 4: "):
+            DigraphStore.load(path)
+
     def test_field_names_bit_exact(self, tmp_path):
         st = DigraphStore("nash", 0, 1)
         path = tmp_path / "s.jsonl"

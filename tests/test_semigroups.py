@@ -12,7 +12,6 @@ from nashtoric import (
     full_rank_normalize,
     hilbert_basis,
     is_saturated,
-    is_unimodular_semigroup,
     minimal_generators,
     semigroup_member,
 )
@@ -193,9 +192,9 @@ class TestFullRankNormalize:
 
 class TestFlags:
     def test_unimodular_semigroup(self):
-        assert is_unimodular_semigroup(AffineSemigroup([(1, 0), (-1, 1)]))
-        assert not is_unimodular_semigroup(AffineSemigroup([(2,), (3,)]))
-        assert is_unimodular_semigroup(AffineSemigroup.standard(3))
+        assert AffineSemigroup([(1, 0), (-1, 1)]).is_unimodular()
+        assert not AffineSemigroup([(2,), (3,)]).is_unimodular()
+        assert AffineSemigroup.standard(3).is_unimodular()
 
     def test_saturation(self):
         assert not is_saturated(AffineSemigroup([(2,), (3,)]))
