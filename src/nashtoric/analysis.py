@@ -11,7 +11,6 @@ and unimodularity flags.
 from dataclasses import dataclass
 
 from .cones import Cone
-from .errors import NotFullRankError, NotPointedError
 from .linalg import IntMatrix, Vector, lattice_index, smith_normal_form, solve_integer
 from .semigroups import hilbert_basis
 
@@ -55,10 +54,7 @@ def analyze(C: Cone) -> AnalysisReport:
 
     Q-factoriality of the toric variety is exactly simpliciality of the
     cone, so no separate flag is reported."""
-    if not C.is_full_dimensional():
-        raise NotFullRankError("analyze needs a full-dimensional cone")
-    if not C.is_pointed():
-        raise NotPointedError("analyze needs a pointed cone")
+    C.check_pointed_full_dimensional("analyze")
     n = C.ambient_rank
     simplicial = C.is_simplicial()
     index = lattice_index(IntMatrix.from_columns(C.rays)) if simplicial else None

@@ -2,9 +2,17 @@
 characteristic: Nash blowup of a pointed affine semigroup, normalized Nash
 blowup of a pointed cone, and the dual-side Nash subdivision of a cone.
 
+All three read one Newton polyhedron P = Conv(basis sums) + C, where the
+basis sums are the sums of the n-subsets of a generating set H of C that
+are linear bases.  Nash mode takes H to be the minimal generators of S and
+C its hull, and takes one chart at each vertex v of P: S together with
+every basis sum minus v.  Normalized mode takes H to be the Hilbert basis
+of C and takes the feasible cone of P at each vertex.  The subdivision is
+the normal fan of the normalized polyhedron of the dual cone.
+
 Only the characteristic of the base field enters the computation, through
-determinant tests modulo p when deciding which subsets of a Hilbert basis
-are linear bases.
+determinant tests modulo p when deciding which subsets of H are linear
+bases.
 """
 
 from collections.abc import Iterable, Sequence
@@ -13,8 +21,9 @@ from dataclasses import dataclass
 from .canonical import canonical_cone
 from .cones import Cone, LatticePolyhedron, feasible_cone
 from .errors import BasisCapExceeded, InputError, NotFullRankError, NotPointedError
-from .linalg import Vector, check_characteristic, rank
-from .semigroups import AffineSemigroup, _minimalize, drop_dominated, hilbert_basis
+from .linalg import Vector, check_characteristic, vec_sub
+from .semigroups import AffineSemigroup, _full_rank_generators, _minimalize
+from .semigroups import drop_dominated, hilbert_basis
 
 DEFAULT_BASIS_CAP = 10**6
 
@@ -44,12 +53,8 @@ def enumerate_bases(
     """All n-element subsets of H that are bases of the ambient space over
     a field of characteristic p, in lexicographic order over sorted H."""
     p = check_characteristic(p)
-    pts = sorted({tuple(int(x) for x in h) for h in H})
-    if not pts:
-        raise InputError("empty generating set")
+    pts = _full_rank_generators(H)
     n = len(pts[0])
-    if rank(pts) < n:
-        raise NotFullRankError("generators do not span full rank")
     out: list[tuple[Vector, ...]] = []
     m = len(pts)
 
@@ -88,18 +93,26 @@ def _pareto_filter(points: Iterable[Vector], cone: Cone) -> tuple[Vector, ...]:
     return drop_dominated(points, cone.facet_normals)
 
 
-def _newton_polyhedron(C: Cone, p: int, max_bases: int | None) -> LatticePolyhedron:
-    """Conv(basis sums of the Hilbert basis of C) + C, built from the sums
-    that can be vertices."""
-    sums = basis_sums(hilbert_basis(C), p, max_bases=max_bases)
-    return LatticePolyhedron(_pareto_filter(sums, C), C)
+def _newton_polyhedron(
+    H: Iterable[Sequence[int]], C: Cone, p: int, max_bases: int | None
+) -> tuple[tuple[Vector, ...], LatticePolyhedron]:
+    """The basis sums of H and the polyhedron P = Conv(sums) + C, built
+    from the sums that can be vertices."""
+    sums = basis_sums(H, p, max_bases=max_bases)
+    return sums, LatticePolyhedron(_pareto_filter(sums, C), C)
 
 
 def nash_children(S: AffineSemigroup, p, *, max_bases: int = DEFAULT_BASIS_CAP):
     """One Nash blowup step: the collection of child semigroups of S.
 
-    Charts whose generators span a non-pointed cone are discarded.  The
-    children are minimized and returned as a sorted tuple of distinct
+    The chart at a basis I, S + <h_J - h_I over all bases J>, depends on I
+    only through h_I, and its hull, the tangent cone of P = Conv(basis
+    sums) + hull(S) at h_I, is pointed exactly when h_I is a vertex of P.
+    So there is one kept chart per vertex v.  By Brualdi's bijective
+    exchange it is generated by S and the sums minus v that are differences
+    of two generators (the single exchanges), drawn from every distinct
+    sum: S need not be saturated, so a Pareto-dropped sum may be needed.
+    The children are minimized and returned as a sorted tuple of distinct
     semigroups; distinct charts that happen to be unimodularly equivalent
     are both kept (the digraph collapses them by canonical key later)."""
     p = check_characteristic(p)
@@ -111,25 +124,13 @@ def nash_children(S: AffineSemigroup, p, *, max_bases: int = DEFAULT_BASIS_CAP):
             "apply full_rank_normalize first"
         )
     H = S.generators
-    bases = enumerate_bases(H, p, max_bases=max_bases)
-    basis_set = {frozenset(b) for b in bases}
-    charts: set[frozenset] = set()
-    for I in bases:
-        I_set = frozenset(I)
-        gens = set(H)
-        for h in I:
-            rest = I_set - {h}
-            for g in H:
-                if g in I_set:
-                    continue
-                if rest | {g} in basis_set:
-                    gens.add(tuple(a - b for a, b in zip(g, h)))
-        charts.add(frozenset(gens))
+    sums, P = _newton_polyhedron(H, S.hull, p, max_bases)
+    exchanges = {vec_sub(g, h) for g in H for h in H if g != h}
     children: set[AffineSemigroup] = set()
-    for gens in charts:
+    for v in P.vertices():
+        gens = set(H)
+        gens.update(d for d in (vec_sub(s, v) for s in sums) if d in exchanges)
         hull = Cone(gens)
-        if not hull.is_pointed():
-            continue
         minimal = _minimalize(tuple(sorted(gens)), hull)
         child = AffineSemigroup(minimal, assume_minimal=True)
         child._cache["hull"] = hull
@@ -141,11 +142,10 @@ def normalized_nash_children(C: Cone, p, *, max_bases: int | None = None):
     """One normalized Nash blowup step: the feasible cones at the vertices
     of Conv(basis sums) + C, deduplicated up to unimodular equivalence."""
     p = check_characteristic(p)
-    if not C.is_full_dimensional():
-        raise NotFullRankError("normalized Nash blowup needs a full-dimensional cone")
-    if not C.is_pointed():
-        raise NotPointedError("normalized Nash blowup needs a pointed cone")
-    P = _newton_polyhedron(C, p, max_bases)
+    C.check_pointed_full_dimensional("normalized Nash blowup")
+    # Indexed, not unpacked, so that the sums are freed before the
+    # canonical keys are computed.
+    P = _newton_polyhedron(hilbert_basis(C), C, p, max_bases)[1]
     children: dict[str, Cone] = {}
     for v in P.vertices():
         child = feasible_cone(v, P)
@@ -173,11 +173,9 @@ def nash_subdivision(sigma: Cone, p) -> Fan:
     normal fan of Conv(basis sums) + sigma-dual, i.e. the duals of the
     feasible cones produced by the normalized Nash blowup of the dual."""
     p = check_characteristic(p)
-    if not sigma.is_full_dimensional():
-        raise NotFullRankError("nash_subdivision needs a full-dimensional cone")
-    if not sigma.is_pointed():
-        raise NotPointedError("nash_subdivision needs a pointed cone")
-    P = _newton_polyhedron(sigma.dual(), p, None)
+    sigma.check_pointed_full_dimensional("nash_subdivision")
+    dual = sigma.dual()
+    P = _newton_polyhedron(hilbert_basis(dual), dual, p, None)[1]
     pieces = [feasible_cone(v, P).dual() for v in P.vertices()]
     pieces.sort(key=lambda c: c.rays)
     return Fan(sigma.ambient_rank, tuple(pieces))

@@ -19,7 +19,7 @@ hull automorphisms cannot split an equivalence class.
 from dataclasses import dataclass
 
 from .cones import Cone
-from .errors import InputError, NotFullRankError, NotPointedError
+from .errors import InputError
 from .linalg import IntMatrix, Vector, hnf_column_step
 from .semigroups import AffineSemigroup
 
@@ -120,10 +120,7 @@ def _max_hnf_over_permutations(
 
 def _canonical_cone_data(C: Cone):
     def compute():
-        if not C.is_full_dimensional():
-            raise NotFullRankError("canonical form needs a full-dimensional cone")
-        if not C.is_pointed():
-            raise NotPointedError("canonical form needs a pointed cone")
+        C.check_pointed_full_dimensional("canonical form")
         cols, us = _max_hnf_over_permutations(C.rays, C.ambient_rank)
         key = CanonicalKey.from_matrix(IntMatrix.from_columns(cols))
         return key, tuple(IntMatrix(u) for u in us)

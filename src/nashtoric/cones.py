@@ -9,7 +9,7 @@ done by homogenization: points p lift to (p, 1), recession rays r lift to
 
 from collections.abc import Iterable, Sequence
 
-from .errors import InputError, NotPointedError
+from .errors import InputError, NotFullRankError, NotPointedError
 from .linalg import (
     IntMatrix,
     Vector,
@@ -217,6 +217,14 @@ class Cone:
     def is_pointed(self) -> bool:
         eq, fac = self._dual_data()
         return rank(list(fac) + list(eq)) == self._n
+
+    def check_pointed_full_dimensional(self, op: str) -> None:
+        """Raise unless the cone is full-dimensional and pointed, naming
+        the operation op that needs it."""
+        if not self.is_full_dimensional():
+            raise NotFullRankError(f"{op} needs a full-dimensional cone")
+        if not self.is_pointed():
+            raise NotPointedError(f"{op} needs a pointed cone")
 
     def is_simplicial(self) -> bool:
         return self.is_pointed() and len(self.rays) == self._n

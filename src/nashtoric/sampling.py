@@ -14,7 +14,7 @@ from .cones import Cone
 from .errors import InputError
 from .linalg import check_characteristic, rank
 from .semigroups import AffineSemigroup, minimal_generators
-from .digraph import Complete, DigraphStore, find_cycles, resolution_subgraph
+from .digraph import MODES, Complete, DigraphStore, find_cycles, resolution_subgraph
 
 DISTRIBUTION = "uniform entries with rejection (pointed, full rank)"
 
@@ -91,6 +91,8 @@ def sample_random(
     """Explore `count` random rank-n cones (normalized mode) or semigroups
     (nash mode); fully reproducible from the seed.  threads goes to
     resolution_subgraph, which checks it and otherwise ignores it."""
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}")
     if rank_ not in (2, 3, 4, 5):
         raise InputError("rank must be one of 2, 3, 4, 5")
     if entry_bound < 1:
@@ -98,6 +100,9 @@ def sample_random(
     if count < 0:
         raise InputError("count must be nonnegative")
     characteristic = check_characteristic(characteristic)
+    settings = (mode, characteristic, rank_)
+    if store is not None and (store.mode, store.characteristic, store.rank) != settings:
+        raise InputError(f"store (mode, characteristic, rank) differs from {settings}")
     summary = SampleSummary(
         mode=mode,
         characteristic=characteristic,

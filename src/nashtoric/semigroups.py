@@ -149,10 +149,7 @@ def hilbert_basis(C: Cone) -> tuple[Vector, ...]:
     """The unique minimal generating set of C n Z^n (C pointed, full-dim)."""
 
     def compute():
-        if not C.is_full_dimensional():
-            raise NotFullRankError("hilbert_basis needs a full-dimensional cone")
-        if not C.is_pointed():
-            raise NotPointedError("hilbert_basis needs a pointed cone")
+        C.check_pointed_full_dimensional("hilbert_basis")
         rays = C.rays
         n = C.ambient_rank
         candidates = set(rays)
@@ -391,21 +388,9 @@ def semigroup_member(S, v: Sequence[int]) -> bool:
 
     S may be an AffineSemigroup or a raw iterable of generators spanning a
     pointed cone."""
-    if isinstance(S, AffineSemigroup):
-        gens = S.generators
-        hull = S.hull
-        solver = S._membership_solver()
-    else:
-        gens = tuple(
-            sorted({tuple(int(x) for x in g) for g in S if any(tuple(g))})
-        )
-        if not gens:
-            raise InputError("empty generator set")
-        hull = Cone(gens)
-        if not hull.is_pointed():
-            raise NotPointedError("semigroup membership needs a pointed hull")
-        solver = _MembershipSolver(gens, hull.inequality_rows())
-    return solver.member(tuple(int(x) for x in v))
+    if not isinstance(S, AffineSemigroup):
+        S = AffineSemigroup(S, assume_minimal=True)
+    return S._membership_solver().member(tuple(int(x) for x in v))
 
 
 def _minimalize(gens: tuple[Vector, ...], hull: Cone | None = None) -> tuple[Vector, ...]:
@@ -440,9 +425,7 @@ def _minimalize(gens: tuple[Vector, ...], hull: Cone | None = None) -> tuple[Vec
 
 def _full_rank_generators(G: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
     """The distinct nonzero vectors of G, sorted; they must span full rank."""
-    gens = tuple(sorted({tuple(int(x) for x in g) for g in G if any(tuple(g))}))
-    if not gens:
-        raise InputError("no nonzero generators given")
+    gens = AffineSemigroup(G, assume_minimal=True).generators
     if rank(gens) < len(gens[0]):
         raise NotFullRankError("generators do not span full rank")
     return gens

@@ -1,9 +1,11 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import nashtoric
 
 PACKAGE_DIR = Path(nashtoric.__file__).parent
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_public_names_resolve_once():
@@ -32,3 +34,14 @@ def test_no_unused_module_imports():
             if name not in used
         ]
     assert unused == []
+
+
+def test_bench_traced_names_resolve():
+    """Every name the bench tracer wraps still exists; a renamed one would
+    turn its per-layer metrics into silent zeros."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    with tracer.Tracer() as t:
+        pass
+    assert t.absent == []

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nashtoric import (
     AffineSemigroup,
@@ -16,6 +18,7 @@ from nashtoric import (
     canonical_semigroup,
     enumerate_bases,
     hilbert_basis,
+    minimal_generators,
     nash_children,
     nash_subdivision,
     normalized_nash_children,
@@ -32,6 +35,37 @@ from conftest import (
     random_pointed_cone,
 )
 from oracles import nash_charts_oracle
+
+
+def _columns(n: int, bound: int, max_size: int):
+    entry = st.integers(-bound, bound)
+    return st.lists(
+        st.tuples(*[entry] * n).filter(any), min_size=n, max_size=max_size
+    )
+
+
+@st.composite
+def full_lattice_semigroups_2d(draw):
+    """Pointed 2D semigroups generating Z^2, from up to four columns with
+    entries up to 7; in general not saturated."""
+    cols = draw(_columns(2, 7, 4))
+    assume(rank(cols) == 2 and Cone(cols).is_pointed())
+    S = minimal_generators(cols)
+    assume(S.is_full_lattice())
+    return S
+
+
+@st.composite
+def hilbert_basis_semigroups_3d(draw):
+    """Saturated 3D semigroups: Hilbert bases of at most 7 elements of
+    random pointed cones."""
+    cols = draw(_columns(3, 3, 5))
+    assume(rank(cols) == 3)
+    C = Cone(cols)
+    assume(C.is_pointed())
+    H = hilbert_basis(C)
+    assume(len(H) <= 7)
+    return AffineSemigroup(H, assume_minimal=True)
 
 
 def _is_common_face(P: Cone, Q: Cone) -> bool:
@@ -195,9 +229,10 @@ class TestNashChildren:
 
     @pytest.mark.parametrize("p", [0, 3])
     def test_matches_chart_oracle(self, p):
-        """nash_children adds only single-exchange differences g - h; by
-        Brualdi's bijective exchange every h_J - h_I is a sum of those, so
-        the charts equal the definitional ones over all bases J.  Checked on
+        """nash_children takes one chart per vertex v of the Newton
+        polyhedron, from S and the basis sums s whose s - v is a difference
+        of two generators; the oracle takes S + <h_J - h_I over all bases
+        J> at every basis I and drops the non-pointed charts.  Checked on
         the 2-cycle S, its partner T, and levels 0-3 from the seed."""
         S = AffineSemigroup(CYCLE2_COLS, assume_minimal=True)
         (T,) = [
@@ -225,6 +260,18 @@ class TestNashChildren:
                         seen.add(key)
                         nxt.append(c)
             level = nxt
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(full_lattice_semigroups_2d(), st.sampled_from([0, 2, 3]))
+    def test_matches_chart_oracle_2d(self, S, p):
+        got = {c.generators for c in nash_children(S, p)}
+        assert got == nash_charts_oracle(S.generators, p)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(hilbert_basis_semigroups_3d(), st.sampled_from([0, 2, 3]))
+    def test_matches_chart_oracle_3d(self, S, p):
+        got = {c.generators for c in nash_children(S, p)}
+        assert got == nash_charts_oracle(S.generators, p)
 
     def test_sublattice_rejected(self):
         with pytest.raises(NotFullRankError):
