@@ -2,13 +2,17 @@
 characteristic: Nash blowup of a pointed affine semigroup, normalized Nash
 blowup of a pointed cone, and the dual-side Nash subdivision of a cone.
 
-All three read one Newton polyhedron P = Conv(basis sums) + C, where the
-basis sums are the sums of the n-subsets of a generating set H of C that
-are linear bases.  Nash mode takes H to be the minimal generators of S and
-C its hull, and takes one chart at each vertex v of P: S together with
-every basis sum minus v.  Normalized mode takes H to be the Hilbert basis
-of C and takes the feasible cone of P at each vertex.  The subdivision is
-the normal fan of the normalized polyhedron of the dual cone.
+All three read one chart at each vertex v of P = Conv(basis sums) + C, the
+basis sums being the sums of the n-subsets of a generating set H of C that
+are linear bases: H and each g - h (g, h in H) with v + g - h a basis sum.
+Nash mode takes H the minimal generators of S and C its hull, and
+minimalizes each chart.  Normalized mode takes H the Hilbert basis of C;
+its chart at v is the saturation of the Nash chart, so the child is the
+chart's cone.  The subdivision of sigma, the normal fan of P for C =
+sigma-dual, takes the dual of each chart's cone.
+The chart's cone is cone(P - v), since H lies in C: for bases I, J with
+h_I = v, Brualdi's bijective exchange sigma: I-J -> J-I (1969) makes
+h_J - v the sum of the chart elements sigma(e) - e.
 
 Only the characteristic of the base field enters the computation, through
 determinant tests modulo p when deciding which subsets of H are linear
@@ -17,9 +21,10 @@ bases.
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import add
 
 from .canonical import canonical_cone
-from .cones import Cone, LatticePolyhedron, feasible_cone
+from .cones import Cone, LatticePolyhedron
 from .errors import BasisCapExceeded, InputError, NotFullRankError, NotPointedError
 from .linalg import Vector, check_characteristic, vec_sub
 from .semigroups import AffineSemigroup, _full_rank_generators, _minimalize
@@ -28,7 +33,7 @@ from .semigroups import drop_dominated, hilbert_basis
 DEFAULT_BASIS_CAP = 10**6
 
 
-def _reduce_independent(rows: list, v: Sequence[int], p: int):
+def _reduce_independent(rows: Sequence, v: Sequence[int], p: int):
     """Reduce v against echelon rows over Q (p = 0) or GF(p); returns the
     new echelon row or None when v is dependent."""
     if p:
@@ -54,24 +59,23 @@ def enumerate_bases(
     a field of characteristic p, in lexicographic order over sorted H."""
     p = check_characteristic(p)
     pts = _full_rank_generators(H)
-    n = len(pts[0])
+    n, m = len(pts[0]), len(pts)
     out: list[tuple[Vector, ...]] = []
-    m = len(pts)
-
-    def extend(start: int, chosen: list[Vector], rows: list):
-        depth = len(chosen)
-        if depth == n:
-            out.append(tuple(chosen))
+    # Depth-first over (next index, chosen points, their echelon rows), with
+    # children pushed in reverse so that they pop in index order.
+    stack = [(0, (), ())]
+    while stack:
+        start, chosen, rows = stack.pop()
+        if len(chosen) == n:
+            out.append(chosen)
             if max_bases is not None and len(out) > max_bases:
                 raise BasisCapExceeded(max_bases)
-            return
+            continue
         # Not enough points left to complete the subset.
-        for i in range(start, m - (n - depth) + 1):
-            new_row = _reduce_independent(rows, pts[i], p)
-            if new_row is not None:
-                extend(i + 1, chosen + [pts[i]], rows + [new_row])
-
-    extend(0, [], [])
+        for i in reversed(range(start, m - (n - len(chosen)) + 1)):
+            row = _reduce_independent(rows, pts[i], p)
+            if row is not None:
+                stack.append((i + 1, chosen + (pts[i],), rows + (row,)))
     return out
 
 
@@ -93,28 +97,33 @@ def _pareto_filter(points: Iterable[Vector], cone: Cone) -> tuple[Vector, ...]:
     return drop_dominated(points, cone.facet_normals)
 
 
-def _newton_polyhedron(
-    H: Iterable[Sequence[int]], C: Cone, p: int, max_bases: int | None
-) -> tuple[tuple[Vector, ...], LatticePolyhedron]:
-    """The basis sums of H and the polyhedron P = Conv(sums) + C, built
-    from the sums that can be vertices."""
+def _vertex_charts(
+    H: tuple[Vector, ...], C: Cone, p: int, max_bases: int | None
+) -> list[tuple[Vector, ...]]:
+    """The chart at each vertex v of P = Conv(basis sums of H) + C, in
+    vertex order: the sorted union of H and each difference d of two
+    elements of H with v + d a basis sum.  Every basis sum counts, not only
+    the Pareto-kept ones: a semigroup need not be saturated."""
     sums = basis_sums(H, p, max_bases=max_bases)
-    return sums, LatticePolyhedron(_pareto_filter(sums, C), C)
+    P = LatticePolyhedron(_pareto_filter(sums, C), C)
+    sums = set(sums)
+    exchanges = {vec_sub(g, h) for g in H for h in H if g != h}
+    charts = []
+    for v in P.vertices():
+        chart = set(H)
+        chart.update(d for d in exchanges if tuple(map(add, v, d)) in sums)
+        charts.append(tuple(sorted(chart)))
+    return charts
 
 
 def nash_children(S: AffineSemigroup, p, *, max_bases: int = DEFAULT_BASIS_CAP):
     """One Nash blowup step: the collection of child semigroups of S.
 
-    The chart at a basis I, S + <h_J - h_I over all bases J>, depends on I
-    only through h_I, and its hull, the tangent cone of P = Conv(basis
-    sums) + hull(S) at h_I, is pointed exactly when h_I is a vertex of P.
-    So there is one kept chart per vertex v.  By Brualdi's bijective
-    exchange it is generated by S and the sums minus v that are differences
-    of two generators (the single exchanges), drawn from every distinct
-    sum: S need not be saturated, so a Pareto-dropped sum may be needed.
-    The children are minimized and returned as a sorted tuple of distinct
-    semigroups; distinct charts that happen to be unimodularly equivalent
-    are both kept (the digraph collapses them by canonical key later)."""
+    The chart at a basis I, S + <h_J - h_I over all bases J>, has the
+    tangent cone of P at h_I as its hull, which is pointed exactly when h_I
+    is a vertex.  So the kept charts are those of _vertex_charts, each
+    minimalized; distinct children that happen to be unimodularly
+    equivalent are both kept (the digraph collapses them by key later)."""
     p = check_characteristic(p)
     if not S.hull.is_pointed():
         raise NotPointedError("Nash blowup needs a pointed semigroup")
@@ -123,32 +132,23 @@ def nash_children(S: AffineSemigroup, p, *, max_bases: int = DEFAULT_BASIS_CAP):
             "Nash blowup needs a full-rank semigroup generating Z^n; "
             "apply full_rank_normalize first"
         )
-    H = S.generators
-    sums, P = _newton_polyhedron(H, S.hull, p, max_bases)
-    exchanges = {vec_sub(g, h) for g in H for h in H if g != h}
     children: set[AffineSemigroup] = set()
-    for v in P.vertices():
-        gens = set(H)
-        gens.update(d for d in (vec_sub(s, v) for s in sums) if d in exchanges)
-        hull = Cone(gens)
-        minimal = _minimalize(tuple(sorted(gens)), hull)
-        child = AffineSemigroup(minimal, assume_minimal=True)
+    for chart in _vertex_charts(S.generators, S.hull, p, max_bases):
+        hull = Cone(chart)
+        child = AffineSemigroup(_minimalize(chart, hull), assume_minimal=True)
         child._cache["hull"] = hull
         children.add(child)
     return tuple(sorted(children, key=lambda s: s.generators))
 
 
 def normalized_nash_children(C: Cone, p, *, max_bases: int | None = None):
-    """One normalized Nash blowup step: the feasible cones at the vertices
-    of Conv(basis sums) + C, deduplicated up to unimodular equivalence."""
+    """One normalized Nash blowup step: the cone of the chart at each
+    vertex, the first of each unimodular class in vertex order."""
     p = check_characteristic(p)
     C.check_pointed_full_dimensional("normalized Nash blowup")
-    # Indexed, not unpacked, so that the sums are freed before the
-    # canonical keys are computed.
-    P = _newton_polyhedron(hilbert_basis(C), C, p, max_bases)[1]
     children: dict[str, Cone] = {}
-    for v in P.vertices():
-        child = feasible_cone(v, P)
+    for chart in _vertex_charts(hilbert_basis(C), C, p, max_bases):
+        child = Cone(chart)
         key = canonical_cone(child)[0].serialization
         children.setdefault(key, child)
     return tuple(children[k] for k in sorted(children))
@@ -169,15 +169,13 @@ class Fan:
 
 
 def nash_subdivision(sigma: Cone, p) -> Fan:
-    """Nash subdivision of a cone on the N side: the maximal cones of the
-    normal fan of Conv(basis sums) + sigma-dual, i.e. the duals of the
-    feasible cones produced by the normalized Nash blowup of the dual."""
+    """Nash subdivision of a cone on the N side: the duals of the cones of
+    the charts of sigma-dual, the normal fan of its Newton polyhedron."""
     p = check_characteristic(p)
     sigma.check_pointed_full_dimensional("nash_subdivision")
     dual = sigma.dual()
-    P = _newton_polyhedron(hilbert_basis(dual), dual, p, None)[1]
-    pieces = [feasible_cone(v, P).dual() for v in P.vertices()]
-    pieces.sort(key=lambda c: c.rays)
+    charts = _vertex_charts(hilbert_basis(dual), dual, p, None)
+    pieces = sorted((Cone(chart).dual() for chart in charts), key=lambda c: c.rays)
     return Fan(sigma.ambient_rank, tuple(pieces))
 
 

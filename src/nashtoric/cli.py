@@ -158,11 +158,9 @@ def dual(matrix_file, as_json):
 )
 def canon(matrix_file, side, as_json, kind):
     """Canonical key modulo unimodular equivalence."""
-    matrix = _read_matrix(matrix_file)
-    if kind == "semigroup":
-        key = canonical_semigroup(minimal_generators(matrix.columns()))
-    else:
-        key, _ = canonical_cone(_cone_in_M(matrix, side))
+    mode = "nash" if kind == "semigroup" else "normalized"
+    start = _start_vertex(_read_matrix(matrix_file), side, mode)
+    key = canonical_semigroup(start) if mode == "nash" else canonical_cone(start)[0]
     _emit(
         as_json,
         {"key": key.serialization, "matrix": key.matrix.to_lists()},

@@ -36,6 +36,25 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
+def test_no_self_recursive_closures():
+    """No nested function calls itself by name.  Such a function refers to
+    itself through its own closure cell, so it and everything it closes
+    over outlive the call as cyclic garbage."""
+    recursive = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, ast.FunctionDef):
+                    continue
+                used = {n.id for n in ast.walk(inner) if isinstance(n, ast.Name)}
+                if inner.name in used:
+                    recursive.append(f"{path.name}: {outer.name}.{inner.name}")
+    assert recursive == []
+
+
 def test_bench_traced_names_resolve():
     """Every name the bench tracer wraps still exists; a renamed one would
     turn its per-layer metrics into silent zeros."""

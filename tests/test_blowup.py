@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -11,12 +12,14 @@ from nashtoric import (
     Cone,
     InputError,
     IntMatrix,
+    LatticePolyhedron,
     NotFullRankError,
     are_equivalent,
     basis_sums,
     canonical_cone,
     canonical_semigroup,
     enumerate_bases,
+    feasible_cone,
     hilbert_basis,
     minimal_generators,
     nash_children,
@@ -66,6 +69,27 @@ def hilbert_basis_semigroups_3d(draw):
     H = hilbert_basis(C)
     assume(len(H) <= 7)
     return AffineSemigroup(H, assume_minimal=True)
+
+
+@st.composite
+def small_hilbert_basis_cones(draw):
+    """Pointed full-dimensional cones whose Hilbert bases have at most 7
+    elements: 2D from up to four columns with entries up to 5, 3D from up
+    to five columns with entries up to 2."""
+    n = draw(st.sampled_from([2, 3]))
+    cols = draw(_columns(n, 5 if n == 2 else 2, n + 2))
+    assume(rank(cols) == n)
+    C = Cone(cols)
+    assume(C.is_pointed() and len(hilbert_basis(C)) <= 7)
+    return C
+
+
+def feasible_cones_by_definition(C: Cone, p):
+    """The feasible cone of P = Conv(basis sums) + C at each vertex of P,
+    in vertex order, with P built from every basis sum of the Hilbert
+    basis of C."""
+    P = LatticePolyhedron(basis_sums(hilbert_basis(C), p), C)
+    return [feasible_cone(v, P) for v in P.vertices()]
 
 
 def _is_common_face(P: Cone, Q: Cone) -> bool:
@@ -174,6 +198,18 @@ class TestEnumerateBases:
     def test_rank_deficient(self):
         with pytest.raises(NotFullRankError):
             enumerate_bases([(1, 0), (2, 0)], 0)
+
+    def test_leaves_no_cyclic_garbage(self):
+        """Everything enumerate_bases builds, its list of bases included,
+        is freed by reference counting as soon as the result is dropped."""
+        H = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)]
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_bases(H, 0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBasisSums:
@@ -324,6 +360,17 @@ class TestNormalizedChildren:
         for c in normalized_nash_children(loop4_cone, 0):
             assert c.is_pointed() and c.is_full_dimensional()
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(small_hilbert_basis_cones(), st.sampled_from([0, 2, 3]))
+    def test_matches_feasible_cones(self, C, p):
+        """The children are the feasible cones of the definition: the
+        first of each unimodular class in vertex order, listed by key."""
+        kept = {}
+        for F in feasible_cones_by_definition(C, p):
+            kept.setdefault(canonical_cone(F)[0].serialization, F)
+        want = [kept[k].rays for k in sorted(kept)]
+        assert [c.rays for c in normalized_nash_children(C, p)] == want
+
 
 class TestCharacteristicStability:
     def test_loop_cone_bases_stable_away_from_2_3(self, loop4_cone):
@@ -373,6 +420,14 @@ class TestSubdivision:
         for _ in range(8):
             sigma = random_pointed_cone(rng, rng.choice([2, 3]), bound=3)
             assert_valid_subdivision(sigma, nash_subdivision(sigma, 0))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(small_hilbert_basis_cones(), st.sampled_from([0, 2, 3]))
+    def test_matches_feasible_cones(self, C, p):
+        """The pieces of the subdivision of sigma = C-dual are the duals
+        of the feasible cones of the definition, sorted by rays."""
+        want = sorted(F.dual().rays for F in feasible_cones_by_definition(C, p))
+        assert [c.rays for c in nash_subdivision(C.dual(), p)] == want
 
 
 class TestReeves:

@@ -81,6 +81,12 @@ def test_nash_mode_rejects_side_n(runner, chi_file, command):
     assert "nash mode takes semigroup generators in M" in r.output
 
 
+def test_canon_semigroup_rejects_side_n(runner, chi_file):
+    r = runner.invoke(main, ["canon", chi_file, "--kind", "semigroup", "--side", "N"])
+    assert r.exit_code == 2
+    assert "nash mode takes semigroup generators in M" in r.output
+
+
 def test_subdivide(runner, tmp_path):
     p = tmp_path / "sigma.txt"
     p.write_text("-1 3\n2 -1\n")

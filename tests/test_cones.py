@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nashtoric import (
     Cone,
@@ -171,6 +173,51 @@ class TestPolyhedron:
     def test_nonpointed_recession_rejected(self):
         with pytest.raises(NotPointedError):
             LatticePolyhedron([(0, 0)], Cone([(1, 0), (-1, 0)]))
+
+
+@st.composite
+def polyhedra(draw, n, coords, ray_bound):
+    """(points, C): 1 to 8 points with coordinates drawn from coords, and a
+    pointed full-dimensional C from n to n + 2 columns with entries up to
+    ray_bound."""
+    entry = st.integers(-ray_bound, ray_bound)
+    column = st.tuples(*[entry] * n).filter(any)
+    cols = draw(st.lists(column, min_size=n, max_size=n + 2))
+    assume(rank(cols) == n)
+    C = Cone(cols)
+    assume(C.is_pointed())
+    point = st.tuples(*[st.sampled_from(coords)] * n)
+    points = sorted(set(draw(st.lists(point, min_size=1, max_size=8))))
+    return points, C
+
+
+class TestVerticesAgainstSweep:
+    """Vertices of Conv(points) + C against vertices_by_functional_sweep.
+
+    The sweep finds a vertex v only if some functional with entries up to
+    coeff_bound is positive on the tangent cone T of the polyhedron at v,
+    which is generated by the rays of C and the vectors p - v.  The sum of
+    n independent primitive facet normals of T is one, and a facet normal
+    of T divides the normal of n - 1 generators of T.  In 2D that normal is
+    a generator turned by 90 degrees: with points in [-3, 3]^2 and rays
+    entries up to 3 its entries are at most 6, and the sum's at most 12.
+    In 3D it is a cross product: with points in {0, 1}^3 and rays entries
+    up to 1 every generator has entries in [-1, 1], the cross product
+    entries up to 2, and the sum's at most 6."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(polyhedra(2, range(-3, 4), 3))
+    def test_2d(self, case):
+        points, C = case
+        want = vertices_by_functional_sweep(points, C.rays, coeff_bound=12)
+        assert LatticePolyhedron(points, C).vertices() == tuple(sorted(want))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(polyhedra(3, (0, 1), 1))
+    def test_3d(self, case):
+        points, C = case
+        want = vertices_by_functional_sweep(points, C.rays, coeff_bound=6)
+        assert LatticePolyhedron(points, C).vertices() == tuple(sorted(want))
 
 
 class TestFeasibleCone:
