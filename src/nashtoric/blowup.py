@@ -15,7 +15,7 @@ h_I = v, Brualdi's bijective exchange sigma: I-J -> J-I (1969) makes
 h_J - v the sum of the chart elements sigma(e) - e.
 
 Only the characteristic of the base field enters the computation, through
-determinant tests modulo p when deciding which subsets of H are linear
+the echelon step over Q or GF(p) that decides which subsets of H are linear
 bases.
 """
 
@@ -26,30 +26,11 @@ from operator import add
 from .canonical import canonical_cone
 from .cones import Cone, LatticePolyhedron
 from .errors import BasisCapExceeded, InputError, NotFullRankError, NotPointedError
-from .linalg import Vector, check_characteristic, vec_sub
+from .linalg import Vector, check_characteristic, reduce_independent, vec_sub
 from .semigroups import AffineSemigroup, _full_rank_generators, _minimalize
 from .semigroups import drop_dominated, hilbert_basis
 
 DEFAULT_BASIS_CAP = 10**6
-
-
-def _reduce_independent(rows: Sequence, v: Sequence[int], p: int):
-    """Reduce v against echelon rows over Q (p = 0) or GF(p); returns the
-    new echelon row or None when v is dependent."""
-    if p:
-        w = [x % p for x in v]
-        for pos, row in rows:
-            if w[pos]:
-                f = w[pos] * pow(row[pos], p - 2, p) % p
-                w = [(a - f * b) % p for a, b in zip(w, row)]
-    else:
-        w = list(v)
-        for pos, row in rows:
-            if w[pos]:
-                a, b = row[pos], w[pos]
-                w = [a * x - b * y for x, y in zip(w, row)]
-    pos = next((i for i, x in enumerate(w) if x), None)
-    return None if pos is None else (pos, w)
 
 
 def enumerate_bases(
@@ -73,7 +54,7 @@ def enumerate_bases(
             continue
         # Not enough points left to complete the subset.
         for i in reversed(range(start, m - (n - len(chosen)) + 1)):
-            row = _reduce_independent(rows, pts[i], p)
+            row = reduce_independent(rows, pts[i], p)
             if row is not None:
                 stack.append((i + 1, chosen + (pts[i],), rows + (row,)))
     return out
@@ -170,11 +151,12 @@ class Fan:
 
 def nash_subdivision(sigma: Cone, p) -> Fan:
     """Nash subdivision of a cone on the N side: the duals of the cones of
-    the charts of sigma-dual, the normal fan of its Newton polyhedron."""
+    the charts of sigma-dual, the normal fan of its Newton polyhedron.
+    Raises BasisCapExceeded past DEFAULT_BASIS_CAP bases of the dual."""
     p = check_characteristic(p)
     sigma.check_pointed_full_dimensional("nash_subdivision")
     dual = sigma.dual()
-    charts = _vertex_charts(hilbert_basis(dual), dual, p, None)
+    charts = _vertex_charts(hilbert_basis(dual), dual, p, DEFAULT_BASIS_CAP)
     pieces = sorted((Cone(chart).dual() for chart in charts), key=lambda c: c.rays)
     return Fan(sigma.ambient_rank, tuple(pieces))
 

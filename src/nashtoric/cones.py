@@ -215,8 +215,11 @@ class Cone:
         return rank(self._gens) == self._n
 
     def is_pointed(self) -> bool:
-        eq, fac = self._dual_data()
-        return rank(list(fac) + list(eq)) == self._n
+        def compute():
+            eq, fac = self._dual_data()
+            return rank(list(fac) + list(eq)) == self._n
+
+        return self._cached("pointed", compute)
 
     def check_pointed_full_dimensional(self, op: str) -> None:
         """Raise unless the cone is full-dimensional and pointed, naming
@@ -246,7 +249,7 @@ class Cone:
 
         def compute():
             eq, fac = self._dual_data()
-            if rank(list(fac) + list(eq)) == self._n:
+            if self.is_pointed():
                 # Pointed: keep generators whose tight facets have rank n-1.
                 out = []
                 for g in self._gens:

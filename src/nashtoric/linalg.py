@@ -10,10 +10,15 @@ positive, and entries above a pivot are nonnegative and strictly smaller
 than the pivot.  hnf_column_step computes one column of it, and the
 canonical-form search of canonical.py places its columns with that same
 step, so the convention behind canonical keys lives here alone.
+
+Elimination has two kernels.  The Smith form, lattice_index and
+solve_integer are built from the Hermite form; rank and the basis
+enumeration of blowup.py share one echelon step, reduce_independent, over
+Q or GF(p).
 """
 
 from collections.abc import Iterable, Sequence
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .errors import InputError, NotFullRankError
@@ -66,9 +71,6 @@ class IntMatrix:
 
     def row(self, i: int) -> Vector:
         return self._data[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self._data)
 
     def columns(self) -> tuple[Vector, ...]:
         return tuple(zip(*self._data))
@@ -223,122 +225,67 @@ def smith_normal_form(
     left * A * right is diagonal with the positive invariant factors on the
     diagonal (padded with zeros), each factor dividing the next; left and
     right are unimodular.
-    """
-    m, n = A.rows, A.cols
-    S = [list(row) for row in A.data]
-    L = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def row_sub(i: int, k: int, q: int) -> None:
-        Si, Sk = S[i], S[k]
-        for c in range(n):
-            Si[c] -= q * Sk[c]
-        Li, Lk = L[i], L[k]
-        for c in range(m):
-            Li[c] -= q * Lk[c]
-
-    def col_sub(j: int, k: int, q: int) -> None:
-        for r_ in range(m):
-            S[r_][j] -= q * S[r_][k]
-        for r_ in range(n):
-            R[r_][j] -= q * R[r_][k]
-
-    def swap_rows(i: int, k: int) -> None:
-        S[i], S[k] = S[k], S[i]
-        L[i], L[k] = L[k], L[i]
-
-    def swap_cols(j: int, k: int) -> None:
-        for r_ in range(m):
-            S[r_][j], S[r_][k] = S[r_][k], S[r_][j]
-        for r_ in range(n):
-            R[r_][j], R[r_][k] = R[r_][k], R[r_][j]
-
-    t = 0
-    while t < min(m, n):
-        # Locate a nonzero entry of smallest magnitude in the submatrix.
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if S[i][j] != 0 and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            swap_rows(t, best[0])
-        if best[1] != t:
-            swap_cols(t, best[1])
-
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if S[i][t] != 0:
-                    q = S[i][t] // S[t][t]
-                    row_sub(i, t, q)
-                    if S[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if S[t][j] != 0:
-                    q = S[t][j] // S[t][t]
-                    col_sub(j, t, q)
-                    if S[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # Pivot must divide every remaining entry; fold a bad row in and redo.
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % S[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_sub(t, offender, -1)
+    Hermite forms of D and of its transpose alternate until neither
+    changes D, which leaves D diagonal (Kannan-Bachem 1979).  Where a
+    factor d_i does not divide d_i+1, column i+1 is added to column i:
+    the next row form puts gcd(d_i, d_i+1) < d_i at (i, i) and leaves the
+    entries before it alone, so the diagonal falls in divisor order."""
+    D, L, R = A, IntMatrix.identity(A.rows), IntMatrix.identity(A.cols)
+    while True:
+        H, U = hermite_normal_form(D)
+        G, V = hermite_normal_form(H.transpose())
+        L, R = U @ L, R @ V.transpose()
+        if H != D or G != D.transpose():
+            D = G.transpose()
             continue
-        if S[t][t] < 0:
-            S[t] = [-x for x in S[t]]
-            L[t] = [-x for x in L[t]]
-        t += 1
+        d = [D.data[i][i] for i in range(min(A.rows, A.cols))]
+        i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
+        if i is None:
+            return tuple(x for x in d if x), L, R
+        E = IntMatrix.identity(A.cols).to_lists()
+        E[i + 1][i] = 1
+        E = IntMatrix(E)
+        D, R = D @ E, R @ E
 
-    factors = tuple(S[i][i] for i in range(min(m, n)) if S[i][i] != 0)
-    return factors, IntMatrix(L), IntMatrix(R)
+
+def reduce_independent(rows: Sequence, v: Sequence[int], p: int):
+    """Reduce v against echelon rows over Q (p = 0) or GF(p); returns the
+    new echelon row or None when v is dependent."""
+    if p:
+        w = [x % p for x in v]
+        for pos, row in rows:
+            if w[pos]:
+                f = w[pos] * pow(row[pos], p - 2, p) % p
+                w = [(a - f * b) % p for a, b in zip(w, row)]
+    else:
+        w = list(v)
+        for pos, row in rows:
+            if w[pos]:
+                a, b = row[pos], w[pos]
+                w = [a * x - b * y for x, y in zip(w, row)]
+    pos = next((i for i, x in enumerate(w) if x), None)
+    return None if pos is None else (pos, w)
 
 
 def rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of a set of integer vectors, by fraction-free elimination."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    n = len(work[0])
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, len(work)) if work[i][j] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pivot = work[r][j]
-        for i in range(r + 1, len(work)):
-            f = work[i][j]
-            if f:
-                work[i] = [pivot * a - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
+    """Rank of a set of integer vectors over Q: the echelon rows that
+    reduce_independent keeps, stopping once they span the whole space."""
+    echelon: list = []
+    for v in rows:
+        if len(echelon) == len(v):
             break
-    return r
+        row = reduce_independent(echelon, v, 0)
+        if row is not None:
+            echelon.append(row)
+    return len(echelon)
 
 
 def lattice_index(A: IntMatrix) -> int:
-    """Index in Z^n of the sublattice spanned by the columns of A."""
-    n = A.rows
-    if rank(A.columns()) < n:
-        raise NotFullRankError("columns do not span a rank-n sublattice")
-    H, _ = hermite_normal_form(A.transpose())
-    idx = 1
-    for i in range(n):
-        idx *= next(x for x in H.row(i) if x != 0)
-    return idx
+    """Index in Z^n of the sublattice spanned by the columns of A: the
+    product of the diagonal of its column-HNF basis."""
+    B = lattice_basis_of_columns(A)
+    return prod(B.data[i][i] for i in range(B.rows))
 
 
 def is_prime(p: int) -> bool:

@@ -22,14 +22,8 @@ from .linalg import (
     dot,
     lattice_basis_of_columns,
     rank,
+    solve_integer,
 )
-
-
-def _floor_div(a: int, b: int) -> int:
-    # Floor of the exact rational a/b for b != 0.
-    if b < 0:
-        a, b = -a, -b
-    return a // b
 
 
 def _adjugate(cols: Sequence[Vector]) -> list[list[int]]:
@@ -111,7 +105,7 @@ def _parallelepiped_points(cols: Sequence[Vector]) -> list[Vector]:
         # Map the residue representative into the parallelepiped.
         z = list(tup)
         lam_num = [dot(adj[i], z) for i in range(n)]
-        q = [_floor_div(x, d) for x in lam_num]
+        q = [x // d for x in lam_num]
         p = tuple(
             z[i] - sum(cols[j][i] * q[j] for j in range(n)) for i in range(n)
         )
@@ -450,20 +444,8 @@ def full_rank_normalize(
     B = lattice_basis_of_columns(IntMatrix.from_columns(gens))
     if B == IntMatrix.identity(len(gens[0])):
         return AffineSemigroup(gens), B
-    new_gens = [_solve_lower_triangular(B, g) for g in gens]
+    new_gens = [solve_integer(B, g) for g in gens]
     return AffineSemigroup(new_gens), B
-
-
-def _solve_lower_triangular(B: IntMatrix, g: Vector) -> Vector:
-    n = B.rows
-    x = [0] * n
-    for i in range(n):
-        s = g[i] - sum(B.data[i][j] * x[j] for j in range(i))
-        piv = B.data[i][i]
-        if s % piv != 0:
-            raise NotFullRankError("point is not in the lattice of the basis")
-        x[i] = s // piv
-    return tuple(x)
 
 
 def is_saturated(S: AffineSemigroup) -> bool:

@@ -395,6 +395,12 @@ class TestSubdivision:
         assert got == want
         assert_valid_subdivision(sigma, fan)
 
+    def test_basis_cap(self, monkeypatch):
+        # The dual's Hilbert basis (1,1), (1,2), (1,3), (2,1) has 6 bases.
+        monkeypatch.setattr("nashtoric.blowup.DEFAULT_BASIS_CAP", 3)
+        with pytest.raises(BasisCapExceeded):
+            nash_subdivision(Cone([(-1, 2), (3, -1)]), 0)
+
     def test_unimodular_identity(self):
         eps = Cone(IntMatrix.identity(2))
         fan = nash_subdivision(eps, 0)

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from nashtoric import DigraphStore, export_dot
 from nashtoric.cli import main
 
 
@@ -115,6 +116,16 @@ def test_explore_cycles_export(runner, chi_file, tmp_path):
     text = out.read_text()
     assert text.startswith("digraph")
     assert text.count("->") == 4
+
+
+def test_export_dot_to_stdout(runner, chi_file, tmp_path):
+    store = tmp_path / "store.jsonl"
+    r = runner.invoke(main, ["explore", chi_file, "--store", str(store)])
+    assert r.exit_code == 0
+    r = runner.invoke(main, ["export-dot", "--store", str(store)])
+    assert r.exit_code == 0
+    assert "->" in r.output
+    assert r.output == export_dot(DigraphStore.load(str(store)))
 
 
 def test_explore_loop_cone_records_cycle(runner, tmp_path):

@@ -17,7 +17,7 @@ from nashtoric import (
     parse_matrix,
     smith_normal_form,
 )
-from nashtoric.linalg import rank, solve_integer
+from nashtoric.linalg import rank, reduce_independent, solve_integer
 
 from conftest import RUNNING_COLS, RUNNING_HNF_COLS, random_unimodular
 from oracles import det_cofactor, hnf_by_search, is_hnf, snf_factors_by_minor_gcd
@@ -143,6 +143,26 @@ class TestDeterminant:
             assert determinant(MA) * determinant(MB) == determinant(MA @ MB)
 
 
+def assert_smith_contract(rows):
+    """The whole contract of smith_normal_form on the matrix with these
+    rows, and its factors against the minor-gcd formula."""
+    A = IntMatrix(rows)
+    factors, L, R = smith_normal_form(A)
+    assert abs(determinant(L)) == 1
+    assert abs(determinant(R)) == 1
+    D = L @ A @ R
+    padded = [
+        [factors[i] if i == j and i < len(factors) else 0 for j in range(A.cols)]
+        for i in range(A.rows)
+    ]
+    assert D.to_lists() == padded
+    assert all(f > 0 for f in factors)
+    for a, b in zip(factors, factors[1:]):
+        assert b % a == 0
+    assert factors == snf_factors_by_minor_gcd(rows)
+    return factors
+
+
 class TestSmith:
     def test_identity(self):
         factors, L, R = smith_normal_form(IntMatrix.identity(3))
@@ -183,6 +203,81 @@ class TestSmith:
                 for f in factors:
                     prod *= f
                 assert prod == abs(determinant(A))
+
+    def test_zero_matrix(self):
+        for m, n in ((1, 1), (2, 3), (3, 2), (4, 4)):
+            assert assert_smith_contract([[0] * n for _ in range(m)]) == ()
+
+    def test_row_and_column_vectors(self):
+        assert assert_smith_contract([[6, -4, 10]]) == (2,)
+        assert assert_smith_contract([[6], [-4], [10]]) == (2,)
+        assert assert_smith_contract([[0, 0, -7]]) == (7,)
+        assert assert_smith_contract([[0], [5]]) == (5,)
+
+    def test_rank_deficient(self):
+        assert assert_smith_contract([[2, 4, 6], [2, 4, 6]]) == (2,)
+        assert assert_smith_contract([[1, 2], [2, 4], [3, 6]]) == (1,)
+        rows = [
+            [-9, 6, -15, 8, 9],
+            [21, -11, 19, 16, -23],
+            [9, -24, 30, -16, -30],
+            [-11, -22, 24, 27, -4],
+            [-9, 6, -15, 8, 9],
+        ]
+        assert assert_smith_contract(rows) == (1, 1, 1, 87)
+
+    def test_factors_out_of_divisor_order(self):
+        assert assert_smith_contract([[2, 0], [0, 3]]) == (1, 6)
+        assert assert_smith_contract([[4, 0], [0, 6]]) == (2, 12)
+        assert assert_smith_contract([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)
+
+    def test_random_up_to_5x5(self):
+        rng = random.Random(17)
+        for _ in range(150):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            if m > 1 and rng.random() < 0.3:
+                rows[-1] = list(rows[0])
+            assert_smith_contract(rows)
+
+
+class TestRank:
+    def test_empty_and_zero(self):
+        assert rank([]) == 0
+        assert rank([(0, 0, 0), (0, 0, 0)]) == 0
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(23)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            r = rng.randint(0, n)
+            basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+            vs = []
+            # More vectors than entries, zero vectors among them, and
+            # spanning at most r dimensions, so both exits are reached.
+            for _ in range(rng.randint(n + 1, 3 * n)):
+                if not basis or rng.random() < 0.15:
+                    vs.append((0,) * n)
+                    continue
+                coeffs = [rng.randint(-2, 2) for _ in basis]
+                vs.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)))
+            assert rank(vs) == sympy.Matrix(vs).rank()
+
+    def test_echelon_fold_matches_is_basis_modulo(self):
+        rng = random.Random(29)
+        for p in (2, 3, 5):
+            for _ in range(150):
+                n = rng.randint(1, 4)
+                cols = [tuple(rng.randint(-p, p) for _ in range(n)) for _ in range(n)]
+                echelon, independent = [], True
+                for v in cols:
+                    row = reduce_independent(echelon, v, p)
+                    if row is None:
+                        independent = False
+                        break
+                    echelon.append(row)
+                assert independent == is_basis_modulo(cols, p)
 
 
 class TestVectorOps:
