@@ -21,10 +21,7 @@ class BasisCapExceeded(NashToricError, RuntimeError):
     """The number of linear bases exceeded the configured cap."""
 
     def __init__(self, cap: int):
-        super().__init__(
-            f"number of linear bases exceeded the cap of {cap}; "
-            "raise max_bases to continue"
-        )
+        super().__init__(f"number of linear bases exceeded the cap of {cap}")
         self.cap = cap
 
 

@@ -6,12 +6,16 @@ simplicial subcones, enumeration of the fundamental parallelepiped of each
 subcone through column-HNF residues, and a single graded reduction pass to
 the indecomposable elements.
 
-Non-saturated semigroups are represented by their minimal generating set;
-membership is a bounded search graded by a strictly positive functional.
+Non-saturated semigroups are represented by their minimal generating set.
+Membership, for every rank, is one memoized depth-first search on facet
+evaluations, graded by their sum: each node subtracts only the generators
+whose grade is at most its own.
 """
 
 import itertools
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
+from operator import sub
 
 from .cones import Cone
 from .errors import InputError, NotFullRankError, NotPointedError
@@ -242,139 +246,61 @@ class _MembershipSolver:
     Points are handled through their facet-evaluation vectors (injective
     because the facet rows of a pointed hull have full rank), so the hull
     test is a componentwise comparison and results memoize across queries.
-    A one-dimensional shadow (which total grades are sums of generator
-    grades) prunes most negative searches outright."""
+    The grade of a point is the sum of its evaluations, which is positive on
+    every nonzero generator; one depth-first search, graded by it, answers
+    every query.  A node only subtracts generators of grade at most its own,
+    found by bisection in the generators sorted by decreasing grade."""
 
     def __init__(self, gens: Sequence[Vector], facets: Sequence[Vector]):
         self.facets = facets
         evs = {tuple(dot(f, g) for f in facets) for g in gens}
         self.gen_evals = sorted(evs, key=lambda e: (-sum(e), e))
-        self.grades = sorted({sum(e) for e in self.gen_evals})
+        self._neg_grades = [-sum(e) for e in self.gen_evals]
         self.memo: dict[tuple[int, ...], bool] = {}
-        self._bits = 1
-        self._bits_limit = 0
-        # 2-facet hulls get a bitset dynamic program instead of the search.
-        self._rows: list[int] | None = [1] if len(facets) == 2 else None
-        self._col_limit = 0
 
     def eval_point(self, v: Sequence[int]) -> tuple[int, ...]:
         return tuple(dot(f, v) for f in self.facets)
 
-    def _grade_reachable(self, t: int) -> bool:
-        if t > self._bits_limit:
-            limit = max(t, 2 * self._bits_limit, 64)
-            mask = (1 << (limit + 1)) - 1
-            reach = 1
-            for g in self.grades:
-                prev = 0
-                while reach != prev:
-                    prev = reach
-                    reach |= (reach << g) & mask
-            self._bits = reach
-            self._bits_limit = limit
-        return bool(self._bits >> t & 1)
-
-    def _member_2d(self, target: tuple[int, int]) -> bool:
-        """Unbounded two-constraint knapsack by rows of column bitsets:
-        row r holds the reachable second coordinates over combinations
-        whose first coordinates sum to r."""
-        A, B = target
-        if B > self._col_limit:
-            self._col_limit = max(2 * self._col_limit, B, 64)
-            self._rows = []
-        rows = self._rows
-        mask = (1 << (self._col_limit + 1)) - 1
-        cross = [(a, b) for a, b in self.gen_evals if a > 0]
-        within = [b for a, b in self.gen_evals if a == 0]
-        while len(rows) <= A:
-            r = len(rows)
-            acc = 1 if r == 0 else 0
-            for a, b in cross:
-                if a <= r:
-                    acc |= rows[r - a] << b
-            acc &= mask
-            for b in within:
-                prev = -1
-                while acc != prev:
-                    prev = acc
-                    acc |= (acc << b) & mask
-            rows.append(acc)
-        return bool(rows[A] >> B & 1)
-
     def member_evals(self, target: tuple[int, ...]) -> bool:
-        """target is a facet-evaluation vector with no negative entry."""
+        """target is a facet-evaluation vector with no negative entry.
+
+        Each node on the stack is the node below it minus a generator, so
+        one member above marks the whole stack; an exhausted node is not a
+        member, since the generator set is fixed."""
+        memo = self.memo
         if not any(target):
             return True
-        if len(self.facets) == 1:
-            return self._grade_reachable(target[0])
-        if self._rows is not None:
-            return self._member_2d(target)
-        memo = self.memo
-        known = memo.get(target)
-        if known is not None:
-            return known
-        gens = self.gen_evals
-        stack: list[list] = [[target, 0]]
+        if target in memo:
+            return memo[target]
+        gens, neg_grades = self.gen_evals, self._neg_grades
+
+        def fitting(node):
+            return iter(gens[bisect_left(neg_grades, -sum(node)) :])
+
+        stack = [(target, fitting(target))]
         while stack:
-            frame = stack[-1]
-            node, idx = frame
-            known = memo.get(node)
-            if known is True:
-                stack.pop()
-                if stack:
-                    memo[stack[-1][0]] = True
-                continue
-            resolved = False
-            while idx < len(gens):
-                g = gens[idx]
-                idx += 1
-                child = tuple(a - b for a, b in zip(node, g))
-                ok = True
-                nonzero = False
-                for x in child:
-                    if x < 0:
-                        ok = False
-                        break
-                    if x:
-                        nonzero = True
-                if not ok:
+            node, rest = stack[-1]
+            for g in rest:
+                child = tuple(map(sub, node, g))
+                if min(child) < 0:
                     continue
-                if not nonzero:
-                    memo[node] = True
-                    resolved = True
-                    break
-                sub = memo.get(child)
-                if sub is True:
-                    memo[node] = True
-                    resolved = True
-                    break
-                if sub is False:
+                known = memo.get(child)
+                if known is False:
                     continue
-                if not self._grade_reachable(sum(child)):
-                    memo[child] = False
-                    continue
-                frame[1] = idx
-                stack.append([child, 0])
-                resolved = None
+                if known or not any(child):
+                    for above, _ in stack:
+                        memo[above] = True
+                    return True
+                stack.append((child, fitting(child)))
                 break
-            if resolved is None:
-                continue
-            if resolved:
-                stack.pop()
-                if stack:
-                    memo[stack[-1][0]] = True
             else:
                 memo[node] = False
                 stack.pop()
-        return memo[target]
+        return False
 
     def member(self, v: Sequence[int]) -> bool:
         ev = self.eval_point(v)
-        if any(x < 0 for x in ev):
-            return False
-        if any(ev) and not self._grade_reachable(sum(ev)):
-            return False
-        return self.member_evals(ev)
+        return min(ev) >= 0 and self.member_evals(ev)
 
 
 def semigroup_member(S, v: Sequence[int]) -> bool:

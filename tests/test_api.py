@@ -5,7 +5,8 @@ from pathlib import Path
 import nashtoric
 
 PACKAGE_DIR = Path(nashtoric.__file__).parent
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+TESTS_DIR = Path(__file__).resolve().parent
+TRACER_PATH = TESTS_DIR.parent / "perfbench" / "tracer.py"
 
 
 def test_public_names_resolve_once():
@@ -16,9 +17,12 @@ def test_public_names_resolve_once():
 
 
 def test_no_unused_module_imports():
+    """Every module-level import of the package and of the tests is used;
+    the package's __init__.py imports only to re-export."""
+    paths = sorted(PACKAGE_DIR.glob("*.py")) + sorted(TESTS_DIR.glob("*.py"))
     unused = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in paths:
+        if path == PACKAGE_DIR / "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {}
@@ -29,7 +33,7 @@ def test_no_unused_module_imports():
                     imported[bound] = node.lineno
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [
-            f"{path.name}:{line}: {name}"
+            f"{path.parent.name}/{path.name}:{line}: {name}"
             for name, line in imported.items()
             if name not in used
         ]

@@ -33,7 +33,6 @@ from nashtoric.linalg import dot, rank
 from conftest import (
     CYCLE2_COLS,
     CYCLE2_SEED_COLS,
-    LOOP4_COLS,
     WHITNEY_COLS,
     random_pointed_cone,
 )
@@ -398,8 +397,12 @@ class TestSubdivision:
     def test_basis_cap(self, monkeypatch):
         # The dual's Hilbert basis (1,1), (1,2), (1,3), (2,1) has 6 bases.
         monkeypatch.setattr("nashtoric.blowup.DEFAULT_BASIS_CAP", 3)
-        with pytest.raises(BasisCapExceeded):
+        with pytest.raises(BasisCapExceeded) as info:
             nash_subdivision(Cone([(-1, 2), (3, -1)]), 0)
+        assert info.value.cap == 3
+        assert "cap of 3" in str(info.value)
+        # nash_subdivision takes no basis cap, so the text must not name one.
+        assert "max_bases" not in str(info.value)
 
     def test_unimodular_identity(self):
         eps = Cone(IntMatrix.identity(2))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from nashtoric import (
     Cone,
     InputError,
-    IntMatrix,
     LatticePolyhedron,
     NotPointedError,
     feasible_cone,

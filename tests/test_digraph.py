@@ -17,7 +17,7 @@ from nashtoric import (
     find_cycles,
     resolution_subgraph,
 )
-from nashtoric.digraph import epsilon_key, vertex_key
+from nashtoric.digraph import vertex_key
 
 from conftest import CYCLE2_COLS, LOOP4_COLS
 from oracles import all_simple_cycles

@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import add
 
 import pytest
 
@@ -15,6 +16,7 @@ from nashtoric import (
     minimal_generators,
     semigroup_member,
 )
+from nashtoric.linalg import dot, rank
 
 from conftest import RUNNING_COLS, WHITNEY_COLS, random_pointed_cone
 from oracles import hilbert_basis_by_box, pointed_minimal_generators
@@ -106,10 +108,11 @@ class TestMinimalGenerators:
     def test_matches_graded_search_oracle(self):
         rng = random.Random(67)
         pointed = non_pointed = 0
-        while pointed < 100 or non_pointed < 30:
-            n = rng.choice([2, 3])
+        while pointed < 200 or non_pointed < 60:
+            n = rng.choice([1, 2, 3, 4])
+            bound = 2 if n == 4 else 4
             gens = [
-                tuple(rng.randint(-4, 4) for _ in range(n))
+                tuple(rng.randint(-bound, bound) for _ in range(n))
                 for _ in range(rng.randint(n, n + 4))
             ]
             try:
@@ -146,6 +149,45 @@ class TestMembership:
             )
             assert semigroup_member(gens, v)
 
+    def test_matches_sums_in_a_box(self):
+        """Every target in a box against all sums of the generators up to
+        the box's largest grade, by a functional w positive on them.  The
+        fixed sets are not saturated, and most do not span the lattice."""
+        rng = random.Random(73)
+        cases = [
+            ([(2,), (3,)], (1,)),
+            ([(4,), (6,)], (1,)),
+            ([(-3,), (-5,)], (-1,)),
+            ([(2, 0), (0, 3)], (1, 1)),
+            ([(1, 0), (1, 2), (1, 4)], (1, 0)),
+            ([(3, -1), (-1, 3)], (1, 1)),
+            ([(2, 0, 0), (0, 2, 0), (1, 1, 2)], (1, 1, 1)),
+        ]
+        while len(cases) < 40:
+            n = rng.choice([1, 2, 3])
+            w = tuple(rng.randint(-2, 2) for _ in range(n))
+            gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + 3)]
+            gens = [g for g in gens if dot(w, g) > 0]
+            if len(gens) >= n and rank(gens) == n:
+                cases.append((gens, w))
+        found = set()
+        for gens, w in cases:
+            n = len(w)
+            side = {1: 30, 2: 7, 3: 3}[n]
+            box = list(itertools.product(range(-side, side + 1), repeat=n))
+            top = max(dot(w, v) for v in box)
+            sums = frontier = {(0,) * n}
+            while frontier:
+                steps = {tuple(map(add, v, g)) for v in frontier for g in gens}
+                frontier = {s for s in steps if dot(w, s) <= top and s not in sums}
+                sums = sums | frontier
+            S = AffineSemigroup(gens, assume_minimal=True)
+            for v in box:
+                got = semigroup_member(S, v)
+                assert got == (v in sums), (gens, v)
+                found.add((n, got))
+        assert found == {(n, b) for n in (1, 2, 3) for b in (True, False)}
+
 
 class TestFullRankNormalize:
     def test_already_full(self):
@@ -172,8 +214,6 @@ class TestFullRankNormalize:
                 for _ in range(rng.randint(n, n + 2))
             ]
             gens = [g for g in gens if any(g)]
-            from nashtoric.linalg import rank
-
             if len(gens) < n or rank(gens) < n:
                 continue
             try:
