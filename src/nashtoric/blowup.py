@@ -4,31 +4,34 @@ blowup of a pointed cone, and the dual-side Nash subdivision of a cone.
 
 All three read one chart at each vertex v of P = Conv(basis sums) + C, the
 basis sums being the sums of the n-subsets of a generating set H of C that
-are linear bases: H and each g - h (g, h in H) with v + g - h a basis sum.
-Nash mode takes H the minimal generators of S and C its hull, and
-minimalizes each chart.  Normalized mode takes H the Hilbert basis of C;
-its chart at v is the saturation of the Nash chart, so the child is the
-chart's cone.  The subdivision of sigma, the normal fan of P for C =
-sigma-dual, takes the dual of each chart's cone.
-The chart's cone is cone(P - v), since H lies in C: for bases I, J with
-h_I = v, Brualdi's bijective exchange sigma: I-J -> J-I (1969) makes
-h_J - v the sum of the chart elements sigma(e) - e.
+are linear bases.  No basis is enumerated: _vertex_charts walks the normal
+fan of P.  Matroid greedy (Edmonds 1971) in the order of a functional w
+inside a normal cone gives the one basis I of least w-weight, whose sum is
+the vertex at w; one more greedy run crosses each wall between two normal
+cones, as Groebner-fan traversal does (Fukuda-Jensen-Thomas 2007).  The
+chart at v is H and each g - h with I - h + g a basis.  By Brualdi's
+bijective exchange (1969) it generates S + <h_J - v over all bases J>, and
+its cone is cone(P - v).  Nash mode takes H the minimal generators of S and
+C its hull, and minimalizes each chart.  Normalized mode takes H the
+Hilbert basis of C; its chart is the saturation of the Nash chart, so the
+child is the chart's cone.  The subdivision of sigma, the normal fan of P
+for C = sigma-dual, takes the dual of each chart's cone.
 
 Only the characteristic of the base field enters the computation, through
-the echelon step over Q or GF(p) that decides which subsets of H are linear
-bases.
+the echelon step over Q or GF(p) of the greedy runs and the exchange test.
+enumerate_bases and basis_sums, which give P by its definition, serve tests.
 """
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from operator import add
 
 from .canonical import canonical_cone
-from .cones import Cone, LatticePolyhedron
+from .cones import Cone
 from .errors import BasisCapExceeded, InputError, NotFullRankError, NotPointedError
-from .linalg import Vector, check_characteristic, reduce_independent, vec_sub
-from .semigroups import AffineSemigroup, _full_rank_generators, _minimalize
-from .semigroups import drop_dominated, hilbert_basis
+from .linalg import Vector, check_characteristic, dot, make_primitive
+from .linalg import reduce_independent, vec_sub
+from .semigroups import AffineSemigroup, _adjugate, _full_rank_generators
+from .semigroups import _minimalize, hilbert_basis
 
 DEFAULT_BASIS_CAP = 10**6
 
@@ -60,51 +63,80 @@ def enumerate_bases(
     return out
 
 
-def basis_sums(H: Iterable[Sequence[int]], p, *, max_bases=None) -> tuple[Vector, ...]:
-    """Deduplicated sums over each basis subset of H."""
-    sums = {
-        tuple(sum(col) for col in zip(*subset))
-        for subset in enumerate_bases(H, p, max_bases=max_bases)
-    }
-    return tuple(sorted(sums))
+def basis_sums(H: Iterable[Sequence[int]], p) -> tuple[Vector, ...]:
+    """The distinct sums of the basis subsets of H, sorted."""
+    return tuple(sorted({_vector_sum(b) for b in enumerate_bases(H, p)}))
 
 
-def _pareto_filter(points: Iterable[Vector], cone: Cone) -> tuple[Vector, ...]:
-    """The points that can be vertices of conv(points) + cone.
+def _vector_sum(vectors: Iterable[Vector]) -> Vector:
+    return tuple(map(sum, zip(*vectors)))
 
-    A delegate rather than an alias of drop_dominated: perfbench's tracer
-    wraps every module binding of the object it traces, so an alias would
-    count every Hilbert basis reduction as Pareto filtering."""
-    return drop_dominated(points, cone.facet_normals)
+
+def _greedy_basis(H: tuple[Vector, ...], key, p: int) -> tuple[Vector, ...]:
+    """The basis of least weight under key (Edmonds 1971): H in increasing
+    key order, keeping each element independent of those kept."""
+    basis, rows = [], []
+    for h in sorted(H, key=key):
+        row = reduce_independent(rows, h, p)
+        if row is not None:
+            basis.append(h)
+            rows.append(row)
+            if len(rows) == len(h):
+                break
+    return tuple(basis)
 
 
 def _vertex_charts(
     H: tuple[Vector, ...], C: Cone, p: int, max_bases: int | None
-) -> list[tuple[Vector, ...]]:
-    """The chart at each vertex v of P = Conv(basis sums of H) + C, in
-    vertex order: the sorted union of H and each difference d of two
-    elements of H with v + d a basis sum.  Every basis sum counts, not only
-    the Pareto-kept ones: a semigroup need not be saturated."""
-    sums = basis_sums(H, p, max_bases=max_bases)
-    P = LatticePolyhedron(_pareto_filter(sums, C), C)
-    sums = set(sums)
-    exchanges = {vec_sub(g, h) for g in H for h in H if g != h}
-    charts = []
-    for v in P.vertices():
+) -> list[tuple[Vector, tuple[Vector, ...], Cone]]:
+    """(v, chart, its cone) at each vertex v of P = Conv(basis sums of H) +
+    C, in vertex order, by a walk over the normal fan of P.
+
+    The chart at v is H and each g - h with I - h + g a basis, I the greedy
+    basis with sum v: by Cramer's rule, when row k of adj(I), h the k-th
+    element of I, is nonzero at g modulo p.  A ray e of the chart's cone
+    outside C is a bounded edge; the sum w of the cone's facet normals tight
+    at e lies on the wall between the normal cones of its ends, and the key
+    (w.h, -e.h, h) orders H as a functional just past it.  Each edge is
+    crossed once; past max_bases greedy bases, the first and one per
+    crossing, the walk raises BasisCapExceeded."""
+    w0 = _vector_sum(C.facet_normals)
+    todo = [_greedy_basis(H, lambda h: (dot(w0, h), h), p)]
+    charts = {_vector_sum(todo[0]): None}
+    crossed: set[tuple[Vector, Vector]] = set()
+    while todo:
+        I = todo.pop()
+        v = _vector_sum(I)
         chart = set(H)
-        chart.update(d for d in exchanges if tuple(map(add, v, d)) in sums)
-        charts.append(tuple(sorted(chart)))
-    return charts
+        for row, h in zip(_adjugate(I), I):
+            for g in H:
+                x = dot(row, g)
+                if g != h and (x % p if p else x):
+                    chart.add(vec_sub(g, h))
+        K = Cone(chart)
+        charts[v] = (v, tuple(sorted(chart)), K)
+        for e in K.rays:
+            if C.contains(e) or (v, e) in crossed:
+                continue
+            if max_bases is not None and 1 + len(crossed) >= max_bases:
+                raise BasisCapExceeded(max_bases)
+            w = _vector_sum(f for f in K.facet_normals if dot(f, e) == 0)
+            J = _greedy_basis(H, lambda h: (dot(w, h), -dot(e, h), h), p)
+            u = _vector_sum(J)
+            crossed.add((u, make_primitive(vec_sub(v, u))))
+            if u not in charts:
+                charts[u] = None
+                todo.append(J)
+    return [charts[v] for v in sorted(charts)]
 
 
 def nash_children(S: AffineSemigroup, p, *, max_bases: int = DEFAULT_BASIS_CAP):
     """One Nash blowup step: the collection of child semigroups of S.
 
-    The chart at a basis I, S + <h_J - h_I over all bases J>, has the
-    tangent cone of P at h_I as its hull, which is pointed exactly when h_I
-    is a vertex.  So the kept charts are those of _vertex_charts, each
-    minimalized; distinct children that happen to be unimodularly
-    equivalent are both kept (the digraph collapses them by key later)."""
+    The chart S + <h_J - h_I over all bases J> has a pointed hull exactly
+    when h_I is a vertex, so the children are the vertex charts minimalized;
+    distinct children that happen to be unimodularly equivalent are both
+    kept (the digraph collapses them by key later)."""
     p = check_characteristic(p)
     if not S.hull.is_pointed():
         raise NotPointedError("Nash blowup needs a pointed semigroup")
@@ -114,8 +146,7 @@ def nash_children(S: AffineSemigroup, p, *, max_bases: int = DEFAULT_BASIS_CAP):
             "apply full_rank_normalize first"
         )
     children: set[AffineSemigroup] = set()
-    for chart in _vertex_charts(S.generators, S.hull, p, max_bases):
-        hull = Cone(chart)
+    for _, chart, hull in _vertex_charts(S.generators, S.hull, p, max_bases):
         child = AffineSemigroup(_minimalize(chart, hull), assume_minimal=True)
         child._cache["hull"] = hull
         children.add(child)
@@ -128,8 +159,7 @@ def normalized_nash_children(C: Cone, p, *, max_bases: int | None = None):
     p = check_characteristic(p)
     C.check_pointed_full_dimensional("normalized Nash blowup")
     children: dict[str, Cone] = {}
-    for chart in _vertex_charts(hilbert_basis(C), C, p, max_bases):
-        child = Cone(chart)
+    for _, _, child in _vertex_charts(hilbert_basis(C), C, p, max_bases):
         key = canonical_cone(child)[0].serialization
         children.setdefault(key, child)
     return tuple(children[k] for k in sorted(children))
@@ -152,12 +182,12 @@ class Fan:
 def nash_subdivision(sigma: Cone, p) -> Fan:
     """Nash subdivision of a cone on the N side: the duals of the cones of
     the charts of sigma-dual, the normal fan of its Newton polyhedron.
-    Raises BasisCapExceeded past DEFAULT_BASIS_CAP bases of the dual."""
+    Raises BasisCapExceeded past DEFAULT_BASIS_CAP bases of the walk."""
     p = check_characteristic(p)
     sigma.check_pointed_full_dimensional("nash_subdivision")
     dual = sigma.dual()
     charts = _vertex_charts(hilbert_basis(dual), dual, p, DEFAULT_BASIS_CAP)
-    pieces = sorted((Cone(chart).dual() for chart in charts), key=lambda c: c.rays)
+    pieces = sorted((K.dual() for _, _, K in charts), key=lambda c: c.rays)
     return Fan(sigma.ambient_rank, tuple(pieces))
 
 

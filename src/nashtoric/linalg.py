@@ -12,9 +12,9 @@ canonical-form search of canonical.py places its columns with that same
 step, so the convention behind canonical keys lives here alone.
 
 Elimination has two kernels.  The Smith form, lattice_index and
-solve_integer are built from the Hermite form; rank and the basis
-enumeration of blowup.py share one echelon step, reduce_independent, over
-Q or GF(p).
+solve_integer are built from the Hermite form; rank, and the greedy bases
+and the basis enumeration of blowup.py, share one echelon step,
+reduce_independent, over Q or GF(p).
 """
 
 from collections.abc import Iterable, Sequence

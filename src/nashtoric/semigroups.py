@@ -15,6 +15,7 @@ whose grade is at most its own.
 import itertools
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
+from functools import cached_property
 from operator import sub
 
 from .cones import Cone
@@ -126,11 +127,9 @@ def drop_dominated(
     q is dominated by p when every facet value of q is at least that of p,
     i.e. q - p lies in the cone {x : f . x >= 0 for every facet f}.  Points
     are taken by increasing sum of facet values, so each dominated point
-    meets a kept point that it dominates.  Two uses:
-    - on candidates that generate C n Z^n, with the facets of C, the kept
-      points are the indecomposable ones, the Hilbert basis;
-    - on points P with the facets of a cone C, a dropped point lies in
-      another point + C and is never a vertex of conv(P) + C."""
+    meets a kept point that it dominates.  On candidates that generate
+    C n Z^n, with the facets of C, the kept points are the indecomposable
+    ones, the Hilbert basis."""
     evals = {pt: tuple(dot(f, pt) for f in facets) for pt in points}
     kept: list[Vector] = []
     kept_evals: list[tuple[int, ...]] = []
@@ -249,9 +248,12 @@ class _MembershipSolver:
     The grade of a point is the sum of its evaluations, which is positive on
     every nonzero generator; one depth-first search, graded by it, answers
     every query.  A node only subtracts generators of grade at most its own,
-    found by bisection in the generators sorted by decreasing grade."""
+    found by bisection in the generators sorted by decreasing grade.  member
+    first rejects a point outside the group the generators span, which the
+    search could only learn by exhausting every node below it."""
 
     def __init__(self, gens: Sequence[Vector], facets: Sequence[Vector]):
+        self.gens = gens
         self.facets = facets
         evs = {tuple(dot(f, g) for f in facets) for g in gens}
         self.gen_evals = sorted(evs, key=lambda e: (-sum(e), e))
@@ -298,9 +300,15 @@ class _MembershipSolver:
                 stack.pop()
         return False
 
+    @cached_property
+    def _lattice(self) -> IntMatrix:
+        return IntMatrix.from_columns(self.gens)
+
     def member(self, v: Sequence[int]) -> bool:
         ev = self.eval_point(v)
-        return min(ev) >= 0 and self.member_evals(ev)
+        if min(ev) < 0 or solve_integer(self._lattice, v) is None:
+            return False
+        return self.member_evals(ev)
 
 
 def semigroup_member(S, v: Sequence[int]) -> bool:

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +28,8 @@ from nashtoric import (
     normalized_nash_children,
     reeves_cone,
 )
-from nashtoric.blowup import semigroup_product
+from nashtoric.blowup import _vertex_charts, semigroup_product
+from nashtoric.semigroups import _minimalize
 from nashtoric.linalg import dot, rank
 
 from conftest import (
@@ -371,6 +373,61 @@ class TestNormalizedChildren:
         assert [c.rays for c in normalized_nash_children(C, p)] == want
 
 
+@st.composite
+def walk_inputs(draw):
+    """(H, C) for the vertex walk, H of at most 8 elements: the Hilbert
+    basis of a random pointed 2D-4D cone C, or the minimal generators of a
+    random semigroup generating Z^n, with C its hull."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    cols = draw(_columns(n, {2: 6, 3: 3, 4: 2}[n], n + 2))
+    assume(rank(cols) == n and Cone(cols).is_pointed())
+    if draw(st.booleans()):
+        C = Cone(cols)
+        H = hilbert_basis(C)
+    else:
+        S = minimal_generators(cols)
+        assume(S.is_full_lattice())
+        H, C = S.generators, S.hull
+    assume(len(H) <= 8)
+    return H, C
+
+
+class TestVertexWalk:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(walk_inputs(), st.sampled_from([0, 2, 3]))
+    def test_matches_basis_sums(self, case, p):
+        """The walk reaches the vertices of Conv(basis sums) + C, and at
+        each its chart has the cone and the minimal generators of the chart
+        of the definition: H and every d with v + d a basis sum."""
+        H, C = case
+        walk = _vertex_charts(H, C, p, None)
+        sums = basis_sums(H, p)
+        P = LatticePolyhedron(sums, C)
+        assert [v for v, _, _ in walk] == list(P.vertices())
+        exchanges = {tuple(a - b for a, b in zip(g, h)) for g in H for h in H if g != h}
+        for v, chart, K in walk:
+            full = set(H) | {
+                d for d in exchanges if tuple(map(add, v, d)) in set(sums)
+            }
+            assert K.rays == Cone(full).rays
+            assert _minimalize(chart, K) == _minimalize(tuple(sorted(full)))
+
+    def test_enumerates_no_basis(self, monkeypatch, loop4_cone):
+        """The three blowups run with basis enumeration, basis sums and the
+        vertices of a lattice polyhedron all unavailable."""
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the vertex walk must not call this")
+
+        monkeypatch.setattr("nashtoric.blowup.enumerate_bases", unavailable)
+        monkeypatch.setattr("nashtoric.blowup.basis_sums", unavailable)
+        monkeypatch.setattr(LatticePolyhedron, "vertices", unavailable)
+        for C in (loop4_cone, Cone([(-1, 2), (3, -1)])):
+            assert normalized_nash_children(C, 0)
+            assert nash_children(AffineSemigroup(hilbert_basis(C)), 0)
+            assert nash_subdivision(C, 0)
+
+
 class TestCharacteristicStability:
     def test_loop_cone_bases_stable_away_from_2_3(self, loop4_cone):
         H = hilbert_basis(loop4_cone)
@@ -395,12 +452,13 @@ class TestSubdivision:
         assert_valid_subdivision(sigma, fan)
 
     def test_basis_cap(self, monkeypatch):
-        # The dual's Hilbert basis (1,1), (1,2), (1,3), (2,1) has 6 bases.
-        monkeypatch.setattr("nashtoric.blowup.DEFAULT_BASIS_CAP", 3)
+        # The walk over the dual's Newton polyhedron computes 3 bases: one
+        # at its first vertex and one per bounded edge it crosses.
+        monkeypatch.setattr("nashtoric.blowup.DEFAULT_BASIS_CAP", 2)
         with pytest.raises(BasisCapExceeded) as info:
             nash_subdivision(Cone([(-1, 2), (3, -1)]), 0)
-        assert info.value.cap == 3
-        assert "cap of 3" in str(info.value)
+        assert info.value.cap == 2
+        assert "cap of 2" in str(info.value)
         # nash_subdivision takes no basis cap, so the text must not name one.
         assert "max_bases" not in str(info.value)
 

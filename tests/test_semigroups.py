@@ -188,6 +188,26 @@ class TestMembership:
                 found.add((n, got))
         assert found == {(n, b) for n in (1, 2, 3) for b in (True, False)}
 
+    @pytest.mark.parametrize(
+        "gens, target",
+        [
+            ([(-3, -3, -3, 2), (3, -3, -2, -3), (-3, 3, 0, 2), (1, 0, 2, 0)], (-3, 1, 0, -2)),
+            ([(2, 0), (0, 3)], (1001, 999)),
+            (
+                [(-1, 0, -1, -2), (2, -2, 2, 2), (-2, 3, 3, 1), (3, -3, 2, 0),
+                 (0, -1, -3, -3), (3, 1, 2, 3), (1, 1, -2, 1)],
+                (5, 6, 2, -1),
+            ),
+        ],
+    )
+    def test_target_outside_the_lattice_is_rejected_without_search(self, gens, target):
+        """A point in the hull but outside the group of the generators is
+        not a member, and the search never starts: its memo stays empty."""
+        S = AffineSemigroup(gens, assume_minimal=True)
+        assert S.hull.contains(target)
+        assert not semigroup_member(S, target)
+        assert S._membership_solver().memo == {}
+
 
 class TestFullRankNormalize:
     def test_already_full(self):
