@@ -9,6 +9,7 @@ from .errors import (
     NashToricError,
     NotFullRankError,
     NotPointedError,
+    SearchCapExceeded,
     StoreError,
 )
 from .linalg import (
@@ -75,6 +76,7 @@ __all__ = [
     "NotFullRankError",
     "NotPointedError",
     "SampleSummary",
+    "SearchCapExceeded",
     "StoreError",
     "analyze",
     "are_equivalent",

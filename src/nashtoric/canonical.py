@@ -10,6 +10,13 @@ The search is branch and bound.  Columns are placed one at a time with
 the HNF's own column step (linalg.hnf_column_step); the committed columns
 of the final HNF depend only on the placed prefix, so a branch dies as
 soon as its known entries fall behind the incumbent in row-major order.
+Once the prefix has n pivots the step no longer changes the transform U,
+and each remaining column commits as U * col.  The best order of that
+tail is then its columns in decreasing lexicographic order, and no other
+order ties it (the rays are distinct and U is unimodular), so the search
+finishes such a node with one sorted tail instead of branching over it.
+Every column placed counts against DEFAULT_SEARCH_CAP, read at call
+time; past it the search raises SearchCapExceeded.
 
 A semigroup key applies every optimal cone transform to the Hilbert basis,
 sorts the columns lexicographically, and keeps the least such matrix, so
@@ -19,9 +26,11 @@ hull automorphisms cannot split an equivalence class.
 from dataclasses import dataclass
 
 from .cones import Cone
-from .errors import InputError
+from .errors import InputError, SearchCapExceeded
 from .linalg import IntMatrix, Vector, hnf_column_step
 from .semigroups import AffineSemigroup
+
+DEFAULT_SEARCH_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,7 @@ class CanonicalKey:
             head, body = text.split(":", 1)
             r, c = (int(t) for t in head.lower().split("x"))
             entries = [int(t) for t in body.split(",")]
-        except ValueError as exc:
+        except ValueError:
             raise InputError(f"malformed canonical key {text!r}") from None
         if len(entries) != r * c:
             raise InputError(f"key claims {r}x{c} but has {len(entries)} entries")
@@ -73,8 +82,17 @@ def _max_hnf_over_permutations(
     columns: tuple[Vector, ...], n: int
 ) -> tuple[list[Vector], list[tuple]]:
     """Max (row-major) HNF over all column orderings, with every row
-    transform that realizes it."""
+    transform that realizes it.
+
+    A node whose prefix has n pivots is finished with its remaining
+    columns committed and sorted in decreasing lexicographic order, the
+    only best order of that tail.  Each optimal ordering has exactly one
+    such node, so the transforms are those of every optimal ordering.
+    Raises SearchCapExceeded once more than DEFAULT_SEARCH_CAP columns
+    would have been placed."""
     m = len(columns)
+    cap = DEFAULT_SEARCH_CAP
+    placed = 0
     best_cols: list[Vector] | None = None
     best_key: tuple | None = None
     best_us: list[tuple] = []
@@ -94,16 +112,20 @@ def _max_hnf_over_permutations(
     stack = [(IntMatrix.identity(n).data, 0, [], frozenset(range(m)))]
     while stack:
         U, r, prefix, remaining = stack.pop()
-        if not remaining:
-            nonlocal_key = _row_major(prefix, n)
-            if best_key is None or nonlocal_key > best_key:
-                best_key = nonlocal_key
-                best_cols = list(prefix)
-                best_us = [U]
-            elif nonlocal_key == best_key:
-                best_us.append(U)
-            continue
         if best_cols is not None and not viable(prefix):
+            continue
+        placed += len(remaining)
+        if placed > cap:
+            raise SearchCapExceeded(cap)
+        if r == n:
+            # U is final: the tail commits as U * col, best in sorted order.
+            tail = [_place_column(U, r, columns[idx])[2] for idx in remaining]
+            cols = prefix + sorted(tail, reverse=True)
+            key = _row_major(cols, n)
+            if best_key is None or key > best_key:
+                best_key, best_cols, best_us = key, cols, [U]
+            elif key == best_key:
+                best_us.append(U)
             continue
         # Try the lexicographically largest extensions first so the first
         # dive lands near the optimum and later branches prune early.

@@ -25,5 +25,13 @@ class BasisCapExceeded(NashToricError, RuntimeError):
         self.cap = cap
 
 
+class SearchCapExceeded(NashToricError, RuntimeError):
+    """The canonical search placed more columns than the configured cap."""
+
+    def __init__(self, cap: int):
+        super().__init__(f"canonical search nodes exceeded the cap of {cap}")
+        self.cap = cap
+
+
 class StoreError(NashToricError, ValueError):
     """Digraph store violation: bad file, meta mismatch, unknown key."""

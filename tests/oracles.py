@@ -257,16 +257,46 @@ def vertices_by_functional_sweep(points, recession_rays, coeff_bound=12):
     return verts
 
 
-def max_hnf_all_permutations(columns, hnf_fn):
-    """Canonical-form oracle: HNF of every column permutation, row-major
-    maximum."""
-    best = None
+def max_hnf_transforms_all_permutations(columns, hnf_fn):
+    """Canonical-form oracle with its transforms: the row-major maximum H
+    over the HNFs of every column permutation, and the sorted list of the
+    U with U * A_perm = H for every permutation that reaches it."""
+    best, optimal = None, []
     for perm in itertools.permutations(columns):
         H, _ = hnf_fn(perm)
         key = tuple(x for row in H for x in row)
         if best is None or key > best[0]:
-            best = (key, H)
-    return best[1]
+            best, optimal = (key, H), [perm]
+        elif key == best[0]:
+            optimal.append(perm)
+    H = best[1]
+    return H, sorted(_transform_onto(perm, H) for perm in optimal)
+
+
+def _transform_onto(cols, H):
+    # U with U * cols = H, solved exactly on n independent columns J:
+    # B^T X = H_J^T with B = cols[J] and X = U^T, by Gauss-Jordan.
+    n = len(H)
+    J = next(
+        J
+        for J in itertools.combinations(range(len(cols)), n)
+        if det_cofactor([[cols[j][i] for j in J] for i in range(n)]) != 0
+    )
+    A = [
+        [Fraction(cols[j][i]) for i in range(n)] + [Fraction(H[i][j]) for i in range(n)]
+        for j in J
+    ]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if A[i][c] != 0)
+        A[c], A[piv] = A[piv], A[c]
+        A[c] = [x / A[c][c] for x in A[c]]
+        for i in range(n):
+            if i != c and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
+    U = [[A[j][n + i] for j in range(n)] for i in range(n)]
+    assert all(x.denominator == 1 for row in U for x in row)
+    return tuple(tuple(int(x) for x in row) for row in U)
 
 
 def all_simple_cycles(vertices, edges, max_len=6):

@@ -9,15 +9,30 @@ from nashtoric import (
     InputError,
     IntMatrix,
     NotPointedError,
+    SearchCapExceeded,
     are_equivalent,
     canonical_cone,
     canonical_semigroup,
     hermite_normal_form,
     minimal_generators,
 )
+from nashtoric.canonical import _canonical_cone_data
 
 from conftest import RUNNING_COLS, RUNNING_HNF_COLS, random_pointed_cone, random_unimodular
-from oracles import max_hnf_all_permutations
+from oracles import max_hnf_transforms_all_permutations
+
+# The 16-ray normalized Nash child of LOOP5_COLS at p = 0, and its key.
+LOOP5_CHILD_RAYS = [
+    (0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 1, -1),
+    (0, 2, -1, 1, -1), (0, 2, 0, 0, -1), (1, 0, 0, 0, 0), (1, 0, 0, 1, -1),
+    (1, 1, 0, 1, -2), (1, 2, -2, 1, -1), (1, 2, -1, 0, -1), (1, 2, 0, 0, -2),
+    (2, 1, -1, 1, -2), (2, 2, -2, 1, -2), (2, 2, -1, 0, -2), (2, 2, -1, 1, -3),
+]
+LOOP5_CHILD_KEY = (
+    "5 x 16: 1,1,0,2,2,0,2,2,1,0,1,1,1,1,0,0,0,2,0,3,2,0,4,3,1,0,4,4,2,2,2,2,"
+    "0,0,1,-1,-1,0,-2,-2,-1,0,-2,-3,-1,-2,-1,-2,0,0,0,0,0,1,1,1,1,0,1,2,0,1,"
+    "1,2,0,0,0,0,0,0,0,0,0,1,1,1,1,1,1,1"
+)
 
 
 def _hnf_of_columns(cols):
@@ -66,9 +81,44 @@ class TestCanonicalCone:
             if len(C.rays) > 6:
                 continue
             key, _ = canonical_cone(C)
-            oracle = max_hnf_all_permutations(C.rays, _hnf_of_columns)
+            oracle, _ = max_hnf_transforms_all_permutations(C.rays, _hnf_of_columns)
             assert key.matrix.data == oracle
             checked += 1
+
+    def test_transforms_match_permutation_oracle(self):
+        # n + 2 to 7 rays, so that a full-rank prefix leaves a tail to sort;
+        # the hexagon and the octahedron have many optimal transforms.
+        cones = [
+            Cone([(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)]),
+            Cone([(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1),
+                  (0, 0, 1, 1), (0, 0, -1, 1)]),
+        ]
+        rng = random.Random(97)
+        for n in (3, 3, 3, 3, 4, 4, 4, 5):
+            C = random_pointed_cone(rng, n, bound=3, extra=7 - n)
+            while not n + 2 <= len(C.rays) <= 7:
+                C = random_pointed_cone(rng, n, bound=3, extra=7 - n)
+            cones.append(C)
+        for C in cones:
+            key, us = _canonical_cone_data(C)
+            H, oracle_us = max_hnf_transforms_all_permutations(C.rays, _hnf_of_columns)
+            assert key.matrix.data == H
+            assert [U.data for U in us] == oracle_us
+
+    def test_sorted_tail_keeps_search_small(self, monkeypatch):
+        # Branching over every order of the tail places 514,699 columns on
+        # this cone; finishing each full-rank prefix with one sorted tail
+        # places about 12,600.
+        monkeypatch.setattr("nashtoric.canonical.DEFAULT_SEARCH_CAP", 50_000)
+        key, _ = canonical_cone(Cone(LOOP5_CHILD_RAYS))
+        assert key.serialization == LOOP5_CHILD_KEY
+
+    def test_search_cap(self, monkeypatch):
+        monkeypatch.setattr("nashtoric.canonical.DEFAULT_SEARCH_CAP", 2)
+        with pytest.raises(SearchCapExceeded) as info:
+            canonical_cone(Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]))
+        assert info.value.cap == 2
+        assert "cap of 2" in str(info.value)
 
     def test_cheap_invariants_separate(self):
         # Distinct ray counts, facet counts, or lattice indices force
