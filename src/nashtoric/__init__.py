@@ -23,12 +23,7 @@ from .linalg import (
     parse_matrix,
     smith_normal_form,
 )
-from .cones import (
-    Cone,
-    LatticePolyhedron,
-    dual_description,
-    feasible_cone,
-)
+from .cones import Cone, dual_description
 from .semigroups import (
     AffineSemigroup,
     full_rank_normalize,
@@ -40,8 +35,6 @@ from .semigroups import (
 from .canonical import CanonicalKey, are_equivalent, canonical_cone, canonical_semigroup
 from .blowup import (
     Fan,
-    basis_sums,
-    enumerate_bases,
     nash_children,
     nash_subdivision,
     normalized_nash_children,
@@ -71,7 +64,6 @@ __all__ = [
     "Fan",
     "InputError",
     "IntMatrix",
-    "LatticePolyhedron",
     "NashToricError",
     "NotFullRankError",
     "NotPointedError",
@@ -80,15 +72,12 @@ __all__ = [
     "StoreError",
     "analyze",
     "are_equivalent",
-    "basis_sums",
     "canonical_cone",
     "canonical_semigroup",
     "determinant",
     "dual_description",
-    "enumerate_bases",
     "expand",
     "export_dot",
-    "feasible_cone",
     "find_cycles",
     "format_matrix",
     "full_rank_normalize",

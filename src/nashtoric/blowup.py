@@ -19,10 +19,9 @@ for C = sigma-dual, takes the dual of each chart's cone.
 
 Only the characteristic of the base field enters the computation, through
 the echelon step over Q or GF(p) of the greedy runs and the exchange test.
-enumerate_bases and basis_sums, which give P by its definition, serve tests.
 """
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .canonical import canonical_cone
@@ -30,42 +29,9 @@ from .cones import Cone
 from .errors import BasisCapExceeded, InputError, NotFullRankError, NotPointedError
 from .linalg import Vector, check_characteristic, dot, make_primitive
 from .linalg import reduce_independent, vec_sub
-from .semigroups import AffineSemigroup, _adjugate, _full_rank_generators
-from .semigroups import _minimalize, hilbert_basis
+from .semigroups import AffineSemigroup, _adjugate, _minimalize, hilbert_basis
 
 DEFAULT_BASIS_CAP = 10**6
-
-
-def enumerate_bases(
-    H: Iterable[Sequence[int]], p, *, max_bases: int | None = None
-) -> list[tuple[Vector, ...]]:
-    """All n-element subsets of H that are bases of the ambient space over
-    a field of characteristic p, in lexicographic order over sorted H."""
-    p = check_characteristic(p)
-    pts = _full_rank_generators(H)
-    n, m = len(pts[0]), len(pts)
-    out: list[tuple[Vector, ...]] = []
-    # Depth-first over (next index, chosen points, their echelon rows), with
-    # children pushed in reverse so that they pop in index order.
-    stack = [(0, (), ())]
-    while stack:
-        start, chosen, rows = stack.pop()
-        if len(chosen) == n:
-            out.append(chosen)
-            if max_bases is not None and len(out) > max_bases:
-                raise BasisCapExceeded(max_bases)
-            continue
-        # Not enough points left to complete the subset.
-        for i in reversed(range(start, m - (n - len(chosen)) + 1)):
-            row = reduce_independent(rows, pts[i], p)
-            if row is not None:
-                stack.append((i + 1, chosen + (pts[i],), rows + (row,)))
-    return out
-
-
-def basis_sums(H: Iterable[Sequence[int]], p) -> tuple[Vector, ...]:
-    """The distinct sums of the basis subsets of H, sorted."""
-    return tuple(sorted({_vector_sum(b) for b in enumerate_bases(H, p)}))
 
 
 def _vector_sum(vectors: Iterable[Vector]) -> Vector:
@@ -87,7 +53,7 @@ def _greedy_basis(H: tuple[Vector, ...], key, p: int) -> tuple[Vector, ...]:
 
 
 def _vertex_charts(
-    H: tuple[Vector, ...], C: Cone, p: int, max_bases: int | None
+    H: tuple[Vector, ...], C: Cone, p: int, max_bases: int | None = None
 ) -> list[tuple[Vector, tuple[Vector, ...], Cone]]:
     """(v, chart, its cone) at each vertex v of P = Conv(basis sums of H) +
     C, in vertex order, by a walk over the normal fan of P.
@@ -99,7 +65,10 @@ def _vertex_charts(
     at e lies on the wall between the normal cones of its ends, and the key
     (w.h, -e.h, h) orders H as a functional just past it.  Each edge is
     crossed once; past max_bases greedy bases, the first and one per
-    crossing, the walk raises BasisCapExceeded."""
+    crossing, the walk raises BasisCapExceeded.  A max_bases of None reads
+    DEFAULT_BASIS_CAP at call time."""
+    if max_bases is None:
+        max_bases = DEFAULT_BASIS_CAP
     w0 = _vector_sum(C.facet_normals)
     todo = [_greedy_basis(H, lambda h: (dot(w0, h), h), p)]
     charts = {_vector_sum(todo[0]): None}
@@ -118,7 +87,7 @@ def _vertex_charts(
         for e in K.rays:
             if C.contains(e) or (v, e) in crossed:
                 continue
-            if max_bases is not None and 1 + len(crossed) >= max_bases:
+            if 1 + len(crossed) >= max_bases:
                 raise BasisCapExceeded(max_bases)
             w = _vector_sum(f for f in K.facet_normals if dot(f, e) == 0)
             J = _greedy_basis(H, lambda h: (dot(w, h), -dot(e, h), h), p)
@@ -130,7 +99,7 @@ def _vertex_charts(
     return [charts[v] for v in sorted(charts)]
 
 
-def nash_children(S: AffineSemigroup, p, *, max_bases: int = DEFAULT_BASIS_CAP):
+def nash_children(S: AffineSemigroup, p, *, max_bases: int | None = None):
     """One Nash blowup step: the collection of child semigroups of S.
 
     The chart S + <h_J - h_I over all bases J> has a pointed hull exactly
@@ -186,7 +155,7 @@ def nash_subdivision(sigma: Cone, p) -> Fan:
     p = check_characteristic(p)
     sigma.check_pointed_full_dimensional("nash_subdivision")
     dual = sigma.dual()
-    charts = _vertex_charts(hilbert_basis(dual), dual, p, DEFAULT_BASIS_CAP)
+    charts = _vertex_charts(hilbert_basis(dual), dual, p)
     pieces = sorted((K.dual() for _, _, K in charts), key=lambda c: c.rays)
     return Fan(sigma.ambient_rank, tuple(pieces))
 
@@ -201,16 +170,3 @@ def reeves_cone(n: int, j: int) -> Cone:
     cols.append(tuple([1] * (n - 1) + [j]))
     return Cone(cols)
 
-
-def semigroup_product(S: AffineSemigroup, k: int) -> AffineSemigroup:
-    """Cartesian product of S with the standard semigroup of rank k."""
-    if k < 0:
-        raise InputError("k must be nonnegative")
-    if k == 0:
-        return S
-    n = S.ambient_rank
-    gens = [g + (0,) * k for g in S.generators]
-    gens.extend(
-        (0,) * n + tuple(1 if i == j else 0 for i in range(k)) for j in range(k)
-    )
-    return AffineSemigroup(gens, assume_minimal=True)

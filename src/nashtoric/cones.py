@@ -2,9 +2,7 @@
 
 A cone is created from integer generators; facet inequalities, extreme
 rays, pointedness, and duals are derived with an exact double description
-method.  Vertex enumeration of lattice polyhedra with a recession cone is
-done by homogenization: points p lift to (p, 1), recession rays r lift to
-(r, 0), and vertices are read off the extreme rays of the lifted cone.
+method.
 """
 
 from collections.abc import Iterable, Sequence
@@ -16,9 +14,9 @@ from .linalg import (
     dot,
     hermite_normal_form,
     determinant,
+    int_tuple,
     make_primitive,
     rank,
-    vec_sub,
 )
 
 
@@ -26,7 +24,7 @@ def _normalize_columns(generators) -> tuple[Vector, ...]:
     if isinstance(generators, IntMatrix):
         cols = generators.columns()
     else:
-        cols = tuple(tuple(int(x) for x in c) for c in generators)
+        cols = tuple(map(int_tuple, generators))
     if not cols:
         raise InputError("a cone needs at least one generator")
     n = len(cols[0])
@@ -60,7 +58,7 @@ def dual_description(
     rows = []
     seen = set()
     for a in ineq_rows:
-        t = tuple(int(x) for x in a)
+        t = int_tuple(a)
         if len(t) != n:
             raise InputError("inequality row has wrong length")
         if not any(t):
@@ -299,66 +297,3 @@ class Cone:
         cols = ", ".join(str(list(g)) for g in self._gens)
         return f"Cone([{cols}])"
 
-
-class LatticePolyhedron:
-    """Conv(points) + recession cone, all data on the integer lattice.
-
-    A recession of None means the bounded case (trivial recession cone).
-    """
-
-    __slots__ = ("points", "recession", "_vertices")
-
-    def __init__(self, points: Iterable[Sequence[int]], recession: Cone | None):
-        pts = tuple(sorted({tuple(int(x) for x in p) for p in points}))
-        if not pts:
-            raise InputError("a lattice polyhedron needs at least one point")
-        n = len(pts[0])
-        if any(len(p) != n for p in pts):
-            raise InputError("points must have equal length")
-        if recession is not None:
-            if recession.ambient_rank != n:
-                raise InputError("recession cone rank mismatch")
-            if not recession.is_pointed():
-                raise NotPointedError("recession cone must be pointed")
-        self.points = pts
-        self.recession = recession
-        self._vertices = None
-
-    @property
-    def ambient_rank(self) -> int:
-        return len(self.points[0])
-
-    def lifted_cone(self) -> Cone:
-        gens = [p + (1,) for p in self.points]
-        if self.recession is not None:
-            gens.extend(r + (0,) for r in self.recession.rays)
-        return Cone(gens)
-
-    def vertices(self) -> tuple[Vector, ...]:
-        if self._vertices is None:
-            lifted = self.lifted_cone()
-            self._vertices = tuple(
-                sorted(r[:-1] for r in lifted.rays if r[-1] == 1)
-            )
-        return self._vertices
-
-    def contains(self, p: Sequence[int]) -> bool:
-        """Exact membership of a lattice point (as a point of the real
-        polyhedron), via the homogenization cone."""
-        return self.lifted_cone().contains(tuple(p) + (1,))
-
-    def __repr__(self) -> str:
-        return f"LatticePolyhedron({len(self.points)} points, rec={self.recession!r})"
-
-
-def feasible_cone(v: Sequence[int], P: LatticePolyhedron) -> Cone:
-    """Cone(P - v) at a vertex v of P."""
-    v = tuple(int(x) for x in v)
-    if v not in P.vertices():
-        raise InputError(f"{v} is not a vertex of the polyhedron")
-    gens = [vec_sub(p, v) for p in P.points if p != v]
-    if P.recession is not None:
-        gens.extend(P.recession.rays)
-    if not gens:
-        raise InputError("feasible cone of a single bounded point is trivial")
-    return Cone(gens)

@@ -12,18 +12,27 @@ canonical-form search of canonical.py places its columns with that same
 step, so the convention behind canonical keys lives here alone.
 
 Elimination has two kernels.  The Smith form, lattice_index and
-solve_integer are built from the Hermite form; rank, and the greedy bases
-and the basis enumeration of blowup.py, share one echelon step,
-reduce_independent, over Q or GF(p).
+solve_integer are built from the Hermite form; rank and the greedy bases
+of blowup.py share one echelon step, reduce_independent, over Q or GF(p).
 """
 
 from collections.abc import Iterable, Sequence
 from math import gcd, prod
-from operator import mul
+from operator import index, mul
 
 from .errors import InputError, NotFullRankError
 
 Vector = tuple[int, ...]
+
+
+def int_tuple(values: Iterable) -> Vector:
+    """values as a tuple of Python ints.  Ints, bools and numpy integers
+    pass; any other entry, a float or a string, raises InputError instead
+    of being truncated."""
+    try:
+        return tuple(map(index, values))
+    except TypeError as exc:
+        raise InputError(f"entries must be integers: {exc}") from None
 
 
 class IntMatrix:
@@ -32,7 +41,7 @@ class IntMatrix:
     __slots__ = ("_data",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(map(int_tuple, rows))
         if not data or not data[0]:
             raise InputError("matrix must have at least one row and one column")
         width = len(data[0])
@@ -48,7 +57,7 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Iterable[Sequence[int]]) -> "IntMatrix":
-        cols = tuple(tuple(int(x) for x in c) for c in columns)
+        cols = tuple(map(int_tuple, columns))
         if not cols:
             raise InputError("matrix must have at least one column")
         return cls(zip(*cols))
@@ -314,7 +323,7 @@ def is_prime(p: int) -> bool:
 
 
 def check_characteristic(p: int) -> int:
-    p = int(p)
+    (p,) = int_tuple((p,))
     if p != 0 and not is_prime(p):
         raise InputError(f"characteristic must be 0 or a prime, got {p}")
     return p

@@ -25,6 +25,7 @@ from .linalg import (
     Vector,
     determinant,
     dot,
+    int_tuple,
     lattice_basis_of_columns,
     rank,
     solve_integer,
@@ -150,13 +151,8 @@ def hilbert_basis(C: Cone) -> tuple[Vector, ...]:
         rays = C.rays
         n = C.ambient_rank
         candidates = set(rays)
-        if len(rays) == n:
-            candidates.update(_parallelepiped_points(rays))
-        else:
-            for simplex in _placing_triangulation(rays, n):
-                candidates.update(
-                    _parallelepiped_points([rays[i] for i in simplex])
-                )
+        for simplex in _placing_triangulation(rays, n):
+            candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
         return drop_dominated(candidates, C.facet_normals)
 
     return C._cached("hilbert", compute)
@@ -168,9 +164,7 @@ class AffineSemigroup:
     __slots__ = ("_gens", "_n", "_cache")
 
     def __init__(self, generators: Iterable[Sequence[int]], *, assume_minimal=False):
-        gens = tuple(
-            sorted({tuple(int(x) for x in g) for g in generators if any(g)})
-        )
+        gens = tuple(sorted({g for g in map(int_tuple, generators) if any(g)}))
         if not gens:
             raise InputError("semigroup needs at least one nonzero generator")
         n = len(gens[0])
@@ -318,7 +312,7 @@ def semigroup_member(S, v: Sequence[int]) -> bool:
     pointed cone."""
     if not isinstance(S, AffineSemigroup):
         S = AffineSemigroup(S, assume_minimal=True)
-    return S._membership_solver().member(tuple(int(x) for x in v))
+    return S._membership_solver().member(int_tuple(v))
 
 
 def _minimalize(gens: tuple[Vector, ...], hull: Cone | None = None) -> tuple[Vector, ...]:

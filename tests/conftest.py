@@ -80,3 +80,16 @@ def random_pointed_cone(rng: random.Random, n: int, bound: int = 5, extra: int =
         C = Cone(cols)
         if C.is_pointed() and C.is_full_dimensional():
             return C
+
+
+def polyhedron_vertices(points, rays):
+    """The vertices of Conv(points) + cone(rays), sorted: the height-1
+    extreme rays of the cone over each (p, 1) and each (r, 0)."""
+    lifted = Cone([tuple(p) + (1,) for p in points] + [r + (0,) for r in rays])
+    return tuple(sorted(r[:-1] for r in lifted.rays if r[-1] == 1))
+
+
+def feasible_cone(v, points, rays):
+    """Cone(P - v) at a vertex v of P = Conv(points) + cone(rays)."""
+    diffs = [tuple(a - b for a, b in zip(p, v)) for p in points]
+    return Cone([d for d in diffs if any(d)] + list(rays))

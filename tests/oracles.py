@@ -385,6 +385,18 @@ def pointed_minimal_generators(generators):
     )
 
 
+def bases_by_definition(H, p):
+    """The n-subsets of the sorted distinct vectors of H, in lexicographic
+    order, whose cofactor determinant is nonzero in characteristic p."""
+    H = sorted({tuple(h) for h in H})
+    bases = []
+    for sub in itertools.combinations(H, len(H[0])):
+        d = det_cofactor(_columns_matrix(sub))
+        if d % p if p else d:
+            bases.append(sub)
+    return bases
+
+
 def nash_charts_oracle(generators, p):
     """Children of one Nash blowup step, taken from the definition.
 
@@ -398,12 +410,7 @@ def nash_charts_oracle(generators, p):
     generators by pointed_minimal_generators.  Returns the set of minimal
     generating tuples of the pointed charts."""
     H = sorted({tuple(g) for g in generators})
-    n = len(H[0])
-    sums = set()
-    for sub in itertools.combinations(H, n):
-        d = det_cofactor(_columns_matrix(sub))
-        if (d % p if p else d) != 0:
-            sums.add(tuple(sum(col) for col in zip(*sub)))
+    sums = {tuple(map(sum, zip(*b))) for b in bases_by_definition(H, p)}
     children = set()
     for h_I in sums:
         gens = set(H) | {tuple(a - b for a, b in zip(h_J, h_I)) for h_J in sums}

@@ -59,14 +59,44 @@ def test_no_self_recursive_closures():
     assert recursive == []
 
 
+def test_package_defines_only_what_it_uses():
+    """Every top-level function and class of the package is used by another
+    top-level statement of the package, exported in __all__, or a command of
+    cli.py.  Code that only the tests call belongs in the tests."""
+    defs, refs = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            refs.append((stmt, names))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                command = path.name == "cli.py" and stmt.decorator_list
+                if not command and stmt.name not in nashtoric.__all__:
+                    defs.append((path.name, stmt))
+    unused = [
+        f"{module}:{stmt.name}"
+        for module, stmt in defs
+        if not any(stmt.name in names for other, names in refs if other is not stmt)
+    ]
+    assert unused == []
+
+
 def test_bench_traced_names_resolve():
     """Every name the bench tracer wraps still exists, but for the layers
     removed on purpose; a renamed one would turn its per-layer metrics into
-    silent zeros.  The Pareto filter went with the basis enumeration of the
-    blowups, and the frozen tracer still names it."""
+    silent zeros.  The vertex walk of the blowups replaced basis enumeration,
+    basis sums, the Pareto filter, the vertices of a lattice polyhedron and
+    feasible cones, and the frozen tracer still names them."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     with tracer.Tracer() as t:
         pass
-    assert t.absent == ["nashtoric.blowup._pareto_filter"]
+    assert t.absent == [
+        "nashtoric.blowup.enumerate_bases",
+        "nashtoric.blowup.basis_sums",
+        "nashtoric.blowup._pareto_filter",
+        "nashtoric.cones.LatticePolyhedron.vertices",
+        "nashtoric.cones.feasible_cone",
+    ]

@@ -1,4 +1,3 @@
-import gc
 import itertools
 import random
 from operator import add
@@ -11,24 +10,23 @@ from nashtoric import (
     AffineSemigroup,
     BasisCapExceeded,
     Cone,
+    DigraphStore,
     InputError,
     IntMatrix,
-    LatticePolyhedron,
     NotFullRankError,
     are_equivalent,
-    basis_sums,
     canonical_cone,
     canonical_semigroup,
-    enumerate_bases,
-    feasible_cone,
+    expand,
     hilbert_basis,
+    is_basis_modulo,
     minimal_generators,
     nash_children,
     nash_subdivision,
     normalized_nash_children,
     reeves_cone,
 )
-from nashtoric.blowup import _vertex_charts, semigroup_product
+from nashtoric.blowup import _vertex_charts
 from nashtoric.semigroups import _minimalize
 from nashtoric.linalg import dot, rank
 
@@ -36,9 +34,11 @@ from conftest import (
     CYCLE2_COLS,
     CYCLE2_SEED_COLS,
     WHITNEY_COLS,
+    feasible_cone,
+    polyhedron_vertices,
     random_pointed_cone,
 )
-from oracles import nash_charts_oracle
+from oracles import bases_by_definition, nash_charts_oracle
 
 
 def _columns(n: int, bound: int, max_size: int):
@@ -85,12 +85,25 @@ def small_hilbert_basis_cones(draw):
     return C
 
 
+def basis_sums(H, p):
+    """The distinct sums of the bases among the n-subsets of H, sorted."""
+    return tuple(sorted({tuple(map(sum, zip(*b))) for b in bases_by_definition(H, p)}))
+
+
 def feasible_cones_by_definition(C: Cone, p):
     """The feasible cone of P = Conv(basis sums) + C at each vertex of P,
     in vertex order, with P built from every basis sum of the Hilbert
     basis of C."""
-    P = LatticePolyhedron(basis_sums(hilbert_basis(C), p), C)
-    return [feasible_cone(v, P) for v in P.vertices()]
+    sums = basis_sums(hilbert_basis(C), p)
+    return [feasible_cone(v, sums, C.rays) for v in polyhedron_vertices(sums, C.rays)]
+
+
+def semigroup_product(S: AffineSemigroup, k: int) -> AffineSemigroup:
+    """The product of S with the standard semigroup of rank k."""
+    n = S.ambient_rank
+    gens = [g + (0,) * k for g in S.generators]
+    gens += [(0,) * n + tuple(int(i == j) for i in range(k)) for j in range(k)]
+    return AffineSemigroup(gens, assume_minimal=True)
 
 
 def _is_common_face(P: Cone, Q: Cone) -> bool:
@@ -149,30 +162,34 @@ def assert_valid_subdivision(sigma: Cone, fan) -> None:
 
 class TestCharacteristic:
     def test_validation(self):
-        assert enumerate_bases([(1,)], 0) == [((1,),)]
-        assert enumerate_bases([(1,)], 7) == [((1,),)]
+        S = AffineSemigroup([(1,)])
+        assert nash_children(S, 0) == (S,)
+        assert nash_children(S, 7) == (S,)
         with pytest.raises(InputError):
-            enumerate_bases([(1,)], 4)
+            nash_children(S, 4)
         with pytest.raises(InputError):
-            enumerate_bases([(1,)], 6)
+            nash_children(S, 6)
 
 
 class TestEnumerateBases:
+    """The bases of the definition, against which the vertex walk is
+    checked."""
+
     def test_cusp(self):
-        assert enumerate_bases([(2,), (3,)], 3) == [((2,),)]
-        assert enumerate_bases([(2,), (3,)], 0) == [((2,),), ((3,),)]
+        assert bases_by_definition([(2,), (3,)], 3) == [((2,),)]
+        assert bases_by_definition([(2,), (3,)], 0) == [((2,),), ((3,),)]
 
     def test_whitney_all_pairs(self):
-        assert len(enumerate_bases(WHITNEY_COLS, 0)) == 3
+        assert len(bases_by_definition(WHITNEY_COLS, 0)) == 3
 
     def test_appendix_pairs(self):
         H = [(2, 1), (1, 3), (1, 2), (1, 1)]
-        assert len(enumerate_bases(H, 0)) == 6
+        assert len(bases_by_definition(H, 0)) == 6
 
     def test_brute_force(self):
+        """The cofactor determinants of the definition agree with the
+        package's basis test."""
         rng = random.Random(97)
-        from nashtoric.linalg import IntMatrix, determinant
-
         for _ in range(60):
             n = rng.choice([2, 3])
             pts = {
@@ -183,34 +200,15 @@ class TestEnumerateBases:
             if len(pts) < n or rank(list(pts)) < n:
                 continue
             p = rng.choice([0, 2, 3, 5])
-            got = {frozenset(b) for b in enumerate_bases(pts, p)}
-            want = set()
-            for sub in itertools.combinations(sorted(pts), n):
-                d = determinant(IntMatrix.from_columns(sub))
-                if (d != 0) if p == 0 else (d % p != 0):
-                    want.add(frozenset(sub))
-            assert got == want
-
-    def test_cap(self):
-        pts = [(i, 1) for i in range(10)]
-        with pytest.raises(BasisCapExceeded):
-            enumerate_bases(pts, 0, max_bases=5)
+            want = [
+                sub
+                for sub in itertools.combinations(sorted(pts), n)
+                if is_basis_modulo(sub, p)
+            ]
+            assert bases_by_definition(pts, p) == want
 
     def test_rank_deficient(self):
-        with pytest.raises(NotFullRankError):
-            enumerate_bases([(1, 0), (2, 0)], 0)
-
-    def test_leaves_no_cyclic_garbage(self):
-        """Everything enumerate_bases builds, its list of bases included,
-        is freed by reference counting as soon as the result is dropped."""
-        H = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)]
-        gc.collect()
-        gc.disable()
-        try:
-            enumerate_bases(H, 0)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        assert bases_by_definition([(1, 0), (2, 0)], 0) == []
 
 
 class TestBasisSums:
@@ -400,10 +398,9 @@ class TestVertexWalk:
         each its chart has the cone and the minimal generators of the chart
         of the definition: H and every d with v + d a basis sum."""
         H, C = case
-        walk = _vertex_charts(H, C, p, None)
+        walk = _vertex_charts(H, C, p)
         sums = basis_sums(H, p)
-        P = LatticePolyhedron(sums, C)
-        assert [v for v, _, _ in walk] == list(P.vertices())
+        assert [v for v, _, _ in walk] == list(polyhedron_vertices(sums, C.rays))
         exchanges = {tuple(a - b for a, b in zip(g, h)) for g in H for h in H if g != h}
         for v, chart, K in walk:
             full = set(H) | {
@@ -412,30 +409,32 @@ class TestVertexWalk:
             assert K.rays == Cone(full).rays
             assert _minimalize(chart, K) == _minimalize(tuple(sorted(full)))
 
-    def test_enumerates_no_basis(self, monkeypatch, loop4_cone):
-        """The three blowups run with basis enumeration, basis sums and the
-        vertices of a lattice polyhedron all unavailable."""
-
-        def unavailable(*args, **kwargs):
-            raise AssertionError("the vertex walk must not call this")
-
-        monkeypatch.setattr("nashtoric.blowup.enumerate_bases", unavailable)
-        monkeypatch.setattr("nashtoric.blowup.basis_sums", unavailable)
-        monkeypatch.setattr(LatticePolyhedron, "vertices", unavailable)
-        for C in (loop4_cone, Cone([(-1, 2), (3, -1)])):
-            assert normalized_nash_children(C, 0)
-            assert nash_children(AffineSemigroup(hilbert_basis(C)), 0)
-            assert nash_subdivision(C, 0)
+    def test_default_cap_read_at_call_time(self, monkeypatch, loop4_cone):
+        """With no cap given, every blowup and a normalized expansion stop
+        at DEFAULT_BASIS_CAP as it reads when called; a cap given is kept."""
+        monkeypatch.setattr("nashtoric.blowup.DEFAULT_BASIS_CAP", 2)
+        S = AffineSemigroup(hilbert_basis(loop4_cone), assume_minimal=True)
+        assert normalized_nash_children(loop4_cone, 0, max_bases=100)
+        calls = (
+            lambda: nash_children(S, 0),
+            lambda: normalized_nash_children(loop4_cone, 0),
+            lambda: nash_subdivision(loop4_cone, 0),
+            lambda: expand(DigraphStore("normalized", 0, 4), loop4_cone),
+        )
+        for call in calls:
+            with pytest.raises(BasisCapExceeded) as info:
+                call()
+            assert info.value.cap == 2
 
 
 class TestCharacteristicStability:
     def test_loop_cone_bases_stable_away_from_2_3(self, loop4_cone):
         H = hilbert_basis(loop4_cone)
-        b0 = enumerate_bases(H, 0)
+        b0 = bases_by_definition(H, 0)
         for p in (5, 7, 11):
-            assert enumerate_bases(H, p) == b0
-        assert enumerate_bases(H, 2) != b0
-        assert enumerate_bases(H, 3) != b0
+            assert bases_by_definition(H, p) == b0
+        assert bases_by_definition(H, 2) != b0
+        assert bases_by_definition(H, 3) != b0
 
 
 class TestSubdivision:

@@ -4,16 +4,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nashtoric import (
-    Cone,
-    InputError,
-    LatticePolyhedron,
-    NotPointedError,
-    feasible_cone,
-)
+from nashtoric import Cone, InputError
 from nashtoric.linalg import dot, rank
 
-from conftest import RUNNING_COLS, RUNNING_INEQS, random_pointed_cone
+from conftest import (
+    RUNNING_COLS,
+    RUNNING_INEQS,
+    feasible_cone,
+    polyhedron_vertices,
+    random_pointed_cone,
+)
 from oracles import cone_contains, vertices_by_functional_sweep
 
 QUADRANT = Cone([(1, 0), (0, 1)])
@@ -134,25 +134,23 @@ class TestFacetRayIncidence:
 
 class TestPolyhedron:
     def test_single_point(self):
-        P = LatticePolyhedron([(5, 7)], Cone([(1, 0), (1, 5)]))
-        assert P.vertices() == ((5, 7),)
+        assert polyhedron_vertices([(5, 7)], Cone([(1, 0), (1, 5)]).rays) == ((5, 7),)
 
     def test_translate_absorbed(self):
-        P = LatticePolyhedron([(1, 1), (3, 2)], Cone([(2, 1), (0, 1)]))
-        assert P.vertices() == ((1, 1),)
+        rays = Cone([(2, 1), (0, 1)]).rays
+        assert polyhedron_vertices([(1, 1), (3, 2)], rays) == ((1, 1),)
 
     def test_appendix_polyhedron_against_sweep_oracle(self):
         points = [(3, 4), (3, 3), (3, 2), (2, 5), (2, 4), (2, 3)]
         recession = [(2, 1), (1, 3)]
         oracle = vertices_by_functional_sweep(points, recession)
         assert oracle == {(3, 2), (2, 3), (2, 5)}
-        P = LatticePolyhedron(points, Cone(recession))
-        assert set(P.vertices()) == oracle
+        assert set(polyhedron_vertices(points, Cone(recession).rays)) == oracle
 
     def test_bounded_square(self):
-        P = LatticePolyhedron([(0, 0), (1, 0), (0, 1), (1, 1)], None)
-        assert set(P.vertices()) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-        assert feasible_cone((0, 0), P).rays == ((0, 1), (1, 0))
+        points = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        assert set(polyhedron_vertices(points, ())) == set(points)
+        assert feasible_cone((0, 0), points, ()).rays == ((0, 1), (1, 0))
 
     def test_vertices_subset_and_membership(self):
         rng = random.Random(43)
@@ -162,16 +160,11 @@ class TestPolyhedron:
                 tuple(rng.randint(-5, 5) for _ in range(2))
                 for _ in range(rng.randint(1, 7))
             }
-            P = LatticePolyhedron(pts, C)
-            vs = set(P.vertices())
-            assert vs <= set(P.points)
-            hull = LatticePolyhedron(vs, C)
-            for p in P.points:
-                assert hull.contains(p)
-
-    def test_nonpointed_recession_rejected(self):
-        with pytest.raises(NotPointedError):
-            LatticePolyhedron([(0, 0)], Cone([(1, 0), (-1, 0)]))
+            vs = polyhedron_vertices(pts, C.rays)
+            assert set(vs) <= pts
+            hull = Cone([v + (1,) for v in vs] + [r + (0,) for r in C.rays])
+            for p in pts:
+                assert hull.contains(p + (1,))
 
 
 @st.composite
@@ -209,28 +202,22 @@ class TestVerticesAgainstSweep:
     def test_2d(self, case):
         points, C = case
         want = vertices_by_functional_sweep(points, C.rays, coeff_bound=12)
-        assert LatticePolyhedron(points, C).vertices() == tuple(sorted(want))
+        assert polyhedron_vertices(points, C.rays) == tuple(sorted(want))
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(polyhedra(3, (0, 1), 1))
     def test_3d(self, case):
         points, C = case
         want = vertices_by_functional_sweep(points, C.rays, coeff_bound=6)
-        assert LatticePolyhedron(points, C).vertices() == tuple(sorted(want))
+        assert polyhedron_vertices(points, C.rays) == tuple(sorted(want))
 
 
 class TestFeasibleCone:
     def test_appendix_feasible_cones(self):
         points = [(3, 4), (3, 3), (3, 2), (2, 5), (2, 4), (2, 3)]
-        P = LatticePolyhedron(points, Cone([(2, 1), (1, 3)]))
-        assert feasible_cone((2, 3), P).rays == ((0, 1), (1, -1))
-        assert feasible_cone((2, 5), P).rays == ((0, -1), (1, 3))
-
-    def test_not_a_vertex(self):
-        points = [(3, 4), (3, 3), (3, 2), (2, 5), (2, 4), (2, 3)]
-        P = LatticePolyhedron(points, Cone([(2, 1), (1, 3)]))
-        with pytest.raises(InputError):
-            feasible_cone((3, 3), P)
+        rays = Cone([(2, 1), (1, 3)]).rays
+        assert feasible_cone((2, 3), points, rays).rays == ((0, 1), (1, -1))
+        assert feasible_cone((2, 5), points, rays).rays == ((0, -1), (1, 3))
 
     def test_contains_recession(self):
         rng = random.Random(47)
@@ -240,9 +227,8 @@ class TestFeasibleCone:
                 tuple(rng.randint(-4, 4) for _ in range(2))
                 for _ in range(rng.randint(1, 5))
             }
-            P = LatticePolyhedron(pts, C)
-            for v in P.vertices():
-                F = feasible_cone(v, P)
+            for v in polyhedron_vertices(pts, C.rays):
+                F = feasible_cone(v, pts, C.rays)
                 assert F.is_pointed() and F.is_full_dimensional()
                 for r in C.rays:
                     assert F.contains(r)

@@ -1,13 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashtoric import (
+    AffineSemigroup,
+    Cone,
+    DigraphStore,
     InputError,
     IntMatrix,
     NotFullRankError,
+    StoreError,
     determinant,
     format_matrix,
     hermite_normal_form,
@@ -15,9 +20,13 @@ from nashtoric import (
     lattice_index,
     make_primitive,
     parse_matrix,
+    resolution_subgraph,
+    semigroup_member,
     smith_normal_form,
 )
-from nashtoric.linalg import rank, reduce_independent, solve_integer
+from nashtoric.cones import dual_description
+from nashtoric.linalg import check_characteristic, rank, reduce_independent
+from nashtoric.linalg import solve_integer
 
 from conftest import RUNNING_COLS, RUNNING_HNF_COLS, random_unimodular
 from oracles import det_cofactor, hnf_by_search, is_hnf, snf_factors_by_minor_gcd
@@ -39,6 +48,35 @@ class TestIntMatrix:
             IntMatrix([])
         with pytest.raises(InputError):
             IntMatrix([[1, 2], [3]])
+
+    def test_rejects_non_integral_entries(self, tmp_path):
+        """A float is refused where it would have been truncated; ints,
+        bools and numpy integers pass."""
+        M = IntMatrix([[True, np.int64(2)]])
+        assert M.data == ((1, 2),) and {type(x) for x in M.data[0]} == {int}
+        assert Cone([(np.int32(1), 0), (0, 1)]) == Cone([(1, 0), (0, 1)])
+        rejected = (
+            lambda: Cone([(1.9, 0), (0.5, 1)]),
+            lambda: IntMatrix([[2.7]]),
+            lambda: IntMatrix.from_columns([(2.7,)]),
+            lambda: dual_description([(1, 0.5)], 2),
+            lambda: AffineSemigroup([(1, 0), (0.5, 1)]),
+            lambda: AffineSemigroup([(1, 0), (0, 1), (0.0, 0.0)]),
+            lambda: semigroup_member([(1, 0), (0, 1)], (1.5, 0)),
+            lambda: check_characteristic(2.5),
+        )
+        for call in rejected:
+            with pytest.raises(InputError):
+                call()
+        store = DigraphStore("normalized", 0, 2)
+        resolution_subgraph(store, Cone([(1, 0), (3, 5)]))
+        path = tmp_path / "store.jsonl"
+        store.save(path)
+        text = path.read_text()
+        lineno = text[: text.index("[[1, 1], [0, 3]]")].count("\n") + 1
+        path.write_text(text.replace("[[1, 1], [0, 3]]", "[[1.4, 1.4], [0.4, 3.4]]"))
+        with pytest.raises(StoreError, match=f"line {lineno}:"):
+            DigraphStore.load(path)
 
     def test_columns_roundtrip(self):
         M = IntMatrix([[1, 2, 3], [4, 5, 6]])
