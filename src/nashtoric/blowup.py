@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from .canonical import canonical_cone
 from .cones import Cone
 from .errors import BasisCapExceeded, InputError, NotFullRankError, NotPointedError
-from .linalg import Vector, check_characteristic, dot, make_primitive
+from .linalg import Vector, adjugate, check_characteristic, dot, make_primitive
 from .linalg import reduce_independent, vec_sub
-from .semigroups import AffineSemigroup, _adjugate, _minimalize, hilbert_basis
+from .semigroups import AffineSemigroup, _minimalize, hilbert_basis
 
 DEFAULT_BASIS_CAP = 10**6
 
@@ -77,7 +77,7 @@ def _vertex_charts(
         I = todo.pop()
         v = _vector_sum(I)
         chart = set(H)
-        for row, h in zip(_adjugate(I), I):
+        for row, h in zip(adjugate(I), I):
             for g in H:
                 x = dot(row, g)
                 if g != h and (x % p if p else x):

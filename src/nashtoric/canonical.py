@@ -6,17 +6,27 @@ of its primitive extreme-ray matrix.  Two cones get equal keys iff they
 are unimodularly equivalent: left-multiplying by a unimodular matrix does
 not change any HNF, and column order is searched exhaustively.
 
-The search is branch and bound.  Columns are placed one at a time with
-the HNF's own column step (linalg.hnf_column_step); the committed columns
-of the final HNF depend only on the placed prefix, so a branch dies as
-soon as its known entries fall behind the incumbent in row-major order.
-Once the prefix has n pivots the step no longer changes the transform U,
-and each remaining column commits as U * col.  The best order of that
-tail is then its columns in decreasing lexicographic order, and no other
-order ties it (the rays are distinct and U is unimodular), so the search
-finishes such a node with one sorted tail instead of branching over it.
-Every column placed counts against DEFAULT_SEARCH_CAP, read at call
-time; past it the search raises SearchCapExceeded.
+A unimodular cone needs no search: every column order R P of its ray
+matrix R has the identity as HNF, realized by (R P)^-1, so the key is the
+identity and the transforms are the n! row orders of R^-1.
+
+Any other cone is searched by branch and bound.  Columns are placed one
+at a time with the HNF's own column step (linalg.hnf_column_step); the
+committed columns of the final HNF depend only on the placed prefix, so a
+branch dies as soon as its known entries fall behind the incumbent in
+row-major order.  Until the last column is placed those entries are row
+0's, so the bound is one comparison of the prefix's row 0 with the
+incumbent's.  While they tie, each child's row-0 entry is previewed
+(linalg.hnf_top_entry) and a child that would fall behind is never
+placed.  Once the prefix has n pivots the step no longer changes the
+transform U, and each remaining column commits as U * col.  The best
+order of that tail is then its columns in decreasing lexicographic
+order, and no other order ties it (the rays are distinct and U is
+unimodular), so the search finishes such a node with one sorted tail
+instead of branching over it.  A finished node is compared in full.
+Every column placed, and every transform of a unimodular cone, counts
+against DEFAULT_SEARCH_CAP, read at call time; past it the search raises
+SearchCapExceeded.
 
 A semigroup key applies every optimal cone transform to the Hilbert basis,
 sorts the columns lexicographically, and keeps the least such matrix, so
@@ -24,10 +34,13 @@ hull automorphisms cannot split an equivalence class.
 """
 
 from dataclasses import dataclass
+from itertools import permutations
+from math import factorial
 
 from .cones import Cone
 from .errors import InputError, SearchCapExceeded
-from .linalg import IntMatrix, Vector, hnf_column_step
+from .linalg import IntMatrix, Vector, hermite_normal_form
+from .linalg import hnf_column_step, hnf_top_entry
 from .semigroups import AffineSemigroup
 
 DEFAULT_SEARCH_CAP = 10**6
@@ -93,56 +106,75 @@ def _max_hnf_over_permutations(
     m = len(columns)
     cap = DEFAULT_SEARCH_CAP
     placed = 0
-    best_cols: list[Vector] | None = None
-    best_key: tuple | None = None
+    # The incumbent's key is row-major, so its first m entries are row 0.
+    best_key: tuple = ()
+    best_cols: list[Vector] = []
     best_us: list[tuple] = []
 
-    def viable(prefix: list[Vector]) -> bool:
-        # Row-major walk over known entries; unknown entries end the scan.
-        j = len(prefix)
-        for i in range(n):
-            for c in range(m):
-                if c >= j:
-                    return True
-                a, b = prefix[c][i], best_cols[c][i]
-                if a != b:
-                    return a > b
-        return True
-
-    stack = [(IntMatrix.identity(n).data, 0, [], frozenset(range(m)))]
+    # A node: (U, r, committed columns, their row-0 entries, columns left).
+    stack = [(IntMatrix.identity(n).data, 0, [], (), frozenset(range(m)))]
     while stack:
-        U, r, prefix, remaining = stack.pop()
-        if best_cols is not None and not viable(prefix):
+        U, r, prefix, row0, remaining = stack.pop()
+        j = len(prefix)
+        # Known entries are final and row 0 comes first in row-major order.
+        if row0 < best_key[:j]:
             continue
-        placed += len(remaining)
-        if placed > cap:
-            raise SearchCapExceeded(cap)
         if r == n:
             # U is final: the tail commits as U * col, best in sorted order.
+            placed += len(remaining)
+            if placed > cap:
+                raise SearchCapExceeded(cap)
             tail = [_place_column(U, r, columns[idx])[2] for idx in remaining]
             cols = prefix + sorted(tail, reverse=True)
             key = _row_major(cols, n)
-            if best_key is None or key > best_key:
+            if key > best_key:
                 best_key, best_cols, best_us = key, cols, [U]
             elif key == best_key:
                 best_us.append(U)
             continue
+        todo = remaining
+        if best_key and row0 == best_key[:j]:
+            # Tied with the incumbent so far (so r >= 1, past the root):
+            # a child whose row-0 entry falls below it is never placed.
+            floor = best_key[j]
+            todo = [i for i in remaining if hnf_top_entry(U, r, columns[i]) >= floor]
+        placed += len(todo)
+        if placed > cap:
+            raise SearchCapExceeded(cap)
         # Try the lexicographically largest extensions first so the first
         # dive lands near the optimum and later branches prune early.
         exts = []
-        for idx in remaining:
+        for idx in todo:
             U2, r2, hcol = _place_column(U, r, columns[idx])
             exts.append((hcol, idx, U2, r2))
         exts.sort()
         for hcol, idx, U2, r2 in exts:
-            stack.append((U2, r2, prefix + [hcol], remaining - {idx}))
-    assert best_cols is not None
+            child = (U2, r2, prefix + [hcol], row0 + hcol[:1], remaining - {idx})
+            stack.append(child)
+    assert best_key
     return best_cols, sorted(best_us)
+
+
+def _unimodular_cone_data(rays: tuple[Vector, ...], n: int):
+    """Key and transforms of a unimodular cone without a search.
+
+    Every column order R P of the ray matrix R has the identity as its
+    HNF, realized by (R P)^-1 = P^-1 R^-1: the n! row orders of R^-1,
+    which is the U of hermite_normal_form(R).  They count against
+    DEFAULT_SEARCH_CAP as the placed columns of a search do."""
+    if factorial(n) > DEFAULT_SEARCH_CAP:
+        raise SearchCapExceeded(DEFAULT_SEARCH_CAP)
+    _, inverse = hermite_normal_form(IntMatrix.from_columns(rays))
+    key = CanonicalKey.from_matrix(IntMatrix.identity(n))
+    # Permutations of sorted rows come out in sorted order.
+    return key, tuple(map(IntMatrix, permutations(sorted(inverse.data))))
 
 
 def _canonical_cone_data(C: Cone):
     def compute():
         C.check_pointed_full_dimensional("canonical form")
+        if C.is_unimodular():
+            return _unimodular_cone_data(C.rays, C.ambient_rank)
         cols, us = _max_hnf_over_permutations(C.rays, C.ambient_rank)
         key = CanonicalKey.from_matrix(IntMatrix.from_columns(cols))
         return key, tuple(IntMatrix(u) for u in us)

@@ -274,10 +274,11 @@ class Cone:
             d = Cone(self.inequality_rows())
             if self.is_pointed() and not eq:
                 # Pointed and full-dimensional: each description is the
-                # other's, so prime the caches both ways.
+                # other's, so prime the dual's caches.  No pointer back to
+                # self, which would make the pair a reference cycle; the
+                # dual's own dual is rebuilt from these caches.
                 d._cache.setdefault("dual", ((), self.rays))
                 d._cache.setdefault("rays", tuple(sorted(fac)))
-                d._cache.setdefault("_dual_cone", self)
             return d
 
         return self._cached("_dual_cone", compute)

@@ -10,10 +10,14 @@ positive, and entries above a pivot are nonnegative and strictly smaller
 than the pivot.  hnf_column_step computes one column of it, and the
 canonical-form search of canonical.py places its columns with that same
 step, so the convention behind canonical keys lives here alone.
+hnf_top_entry previews the row-0 entry of a step without taking it, which
+is all the search's bound needs to reject a column.
 
 Elimination has two kernels.  The Smith form, lattice_index and
 solve_integer are built from the Hermite form; rank and the greedy bases
 of blowup.py share one echelon step, reduce_independent, over Q or GF(p).
+determinant and adjugate use fraction-free elimination (Bareiss 1968),
+the adjugate as one Gauss-Jordan pass over [M | I].
 """
 
 from collections.abc import Iterable, Sequence
@@ -115,7 +119,7 @@ class IntMatrix:
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
@@ -179,6 +183,16 @@ def hnf_column_step(
     return tuple(W), r, tuple(u)
 
 
+def hnf_top_entry(U: tuple[Vector, ...], r: int, col: Sequence[int]) -> int:
+    """The row-0 entry that hnf_column_step(U, r, col) commits, for r >= 1,
+    without the step.  Row 0 holds an earlier pivot, so the step only
+    reduces U[0] * col modulo the new pivot, the gcd g of rows r.. of
+    U * col; with no new pivot (g = 0) the entry stays as it is."""
+    g = gcd(*(sum(map(mul, row, col)) for row in U[r:]))
+    u0 = sum(map(mul, U[0], col))
+    return u0 % g if g else u0
+
+
 def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 
@@ -224,6 +238,39 @@ def determinant(A: IntMatrix) -> int:
             Mi[k] = 0
         prev = pivot
     return sign * M[n - 1][n - 1]
+
+
+def adjugate(cols: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
+    """Rows of the adjugate of the nonsingular square matrix M whose
+    columns are cols, so that M * adj = det(M) * I.
+
+    One fraction-free Gauss-Jordan elimination on [M | I] (Bareiss 1968):
+    every division is exact, and at the end the left block is d * I with
+    d = det(M) up to the sign of the row swaps, and the right block is
+    d * M^-1, the adjugate up to that same sign."""
+    n = len(cols)
+    A = [
+        list(row) + [int(i == j) for j in range(n)]
+        for i, row in enumerate(zip(*cols))
+    ]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+            if swap is None:
+                raise NotFullRankError("adjugate needs a nonsingular matrix")
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        Ak = A[k]
+        pivot = Ak[k]
+        for i in range(n):
+            if i != k:
+                Ai = A[i]
+                a = Ai[k]
+                A[i] = [(pivot * x - a * y) // prev for x, y in zip(Ai, Ak)]
+        prev = pivot
+    return tuple(tuple(sign * x for x in row[n:]) for row in A)
 
 
 def smith_normal_form(

@@ -23,6 +23,7 @@ from .errors import InputError, NotFullRankError, NotPointedError
 from .linalg import (
     IntMatrix,
     Vector,
+    adjugate,
     determinant,
     dot,
     int_tuple,
@@ -30,29 +31,6 @@ from .linalg import (
     rank,
     solve_integer,
 )
-
-
-def _adjugate(cols: Sequence[Vector]) -> list[list[int]]:
-    """Adjugate of the square matrix with the given columns, so that
-    M * adj = det * I."""
-    n = len(cols)
-    M = IntMatrix.from_columns(cols)
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [M.data[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            if n == 1:
-                row.append(1)
-            else:
-                sign = -1 if (i + j) % 2 else 1
-                row.append(sign * determinant(IntMatrix(minor)))
-        adj.append(row)
-    return adj
 
 
 def _placing_triangulation(rays: Sequence[Vector], n: int) -> list[tuple[int, ...]]:
@@ -101,7 +79,7 @@ def _parallelepiped_points(cols: Sequence[Vector]) -> list[Vector]:
         raise NotFullRankError("simplicial cone matrix is singular")
     if abs(d) == 1:
         return []
-    adj = _adjugate(cols)
+    adj = adjugate(cols)
     # Column-HNF basis of the sublattice spanned by cols; the residues of
     # Z^n modulo the sublattice are the boxes under its diagonal.
     B = lattice_basis_of_columns(W)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import nashtoric.canonical
 from nashtoric import (
     AffineSemigroup,
     CanonicalKey,
@@ -17,6 +18,7 @@ from nashtoric import (
     minimal_generators,
 )
 from nashtoric.canonical import _canonical_cone_data
+from nashtoric.digraph import epsilon_key
 
 from conftest import RUNNING_COLS, RUNNING_HNF_COLS, random_pointed_cone, random_unimodular
 from oracles import max_hnf_transforms_all_permutations
@@ -99,6 +101,16 @@ class TestCanonicalCone:
             while not n + 2 <= len(C.rays) <= 7:
                 C = random_pointed_cone(rng, n, bound=3, extra=7 - n)
             cones.append(C)
+        # Unimodular cones (rank 5 has 120 transforms), which skip the
+        # search, and simplicial cones of index > 1, which do not.
+        for n in (2, 3, 4, 5, 5):
+            cones.append(Cone(random_unimodular(n, rng).columns()))
+        simplicial = 0
+        while simplicial < 6:
+            C = random_pointed_cone(rng, rng.choice([2, 3, 4]), bound=4, extra=0)
+            if not C.is_unimodular():
+                cones.append(C)
+                simplicial += 1
         for C in cones:
             key, us = _canonical_cone_data(C)
             H, oracle_us = max_hnf_transforms_all_permutations(C.rays, _hnf_of_columns)
@@ -112,6 +124,51 @@ class TestCanonicalCone:
         monkeypatch.setattr("nashtoric.canonical.DEFAULT_SEARCH_CAP", 50_000)
         key, _ = canonical_cone(Cone(LOOP5_CHILD_RAYS))
         assert key.serialization == LOOP5_CHILD_KEY
+
+    def test_place_column_count_on_loop5_child(self, monkeypatch):
+        # A child whose row-0 entry falls behind a tied incumbent is never
+        # placed: 4,586 columns instead of the 12,554 of placing every
+        # child and pruning it when popped.
+        calls = []
+        place = nashtoric.canonical._place_column
+
+        def counted(*args):
+            calls.append(None)
+            return place(*args)
+
+        monkeypatch.setattr("nashtoric.canonical._place_column", counted)
+        key, _ = canonical_cone(Cone(LOOP5_CHILD_RAYS))
+        assert key.serialization == LOOP5_CHILD_KEY
+        assert len(calls) == 4_586
+
+    def test_unimodular_cones_skip_the_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the search ran on a unimodular cone")
+
+        rng = random.Random(101)
+        cones = [Cone(random_unimodular(n, rng).columns()) for n in (1, 2, 3, 4, 4)]
+        expected = [
+            max_hnf_transforms_all_permutations(C.rays, _hnf_of_columns) for C in cones
+        ]
+        monkeypatch.setattr("nashtoric.canonical._max_hnf_over_permutations", no_search)
+        for C, (H, oracle_us) in zip(cones, expected):
+            key, us = _canonical_cone_data(C)
+            assert key.matrix.data == H == IntMatrix.identity(C.ambient_rank).data
+            assert [U.data for U in us] == oracle_us
+        for n in (1, 2, 3, 4):
+            identity = IntMatrix.identity(n)
+            anti = IntMatrix([row[::-1] for row in identity.data])
+            assert epsilon_key("normalized", n) == CanonicalKey.from_matrix(identity)
+            assert epsilon_key("nash", n) == CanonicalKey.from_matrix(anti)
+
+    def test_unimodular_transforms_count_against_cap(self, monkeypatch):
+        # The 3D identity cone has 3! = 6 transforms.
+        monkeypatch.setattr("nashtoric.canonical.DEFAULT_SEARCH_CAP", 5)
+        with pytest.raises(SearchCapExceeded) as info:
+            canonical_cone(Cone(IntMatrix.identity(3)))
+        assert info.value.cap == 5
+        monkeypatch.setattr("nashtoric.canonical.DEFAULT_SEARCH_CAP", 6)
+        assert len(_canonical_cone_data(Cone(IntMatrix.identity(3)))[1]) == 6
 
     def test_search_cap(self, monkeypatch):
         monkeypatch.setattr("nashtoric.canonical.DEFAULT_SEARCH_CAP", 2)

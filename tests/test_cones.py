@@ -1,13 +1,15 @@
+import gc
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nashtoric import Cone, InputError
+from nashtoric import Cone, InputError, nash_subdivision
 from nashtoric.linalg import dot, rank
 
 from conftest import (
+    LOOP4_COLS,
     RUNNING_COLS,
     RUNNING_INEQS,
     feasible_cone,
@@ -57,6 +59,20 @@ class TestDual:
         for _ in range(120):
             C = random_pointed_cone(rng, rng.choice([2, 3]))
             assert C.dual().dual().rays == C.rays
+
+    def test_dual_leaves_no_reference_cycle(self):
+        """A cone and its dual are freed by reference counting alone: the
+        dual's primed caches hold no pointer back to the cone."""
+        gc.collect()
+        gc.disable()
+        try:
+            D = Cone(LOOP4_COLS).dual()
+            assert D.dual().rays == Cone(LOOP4_COLS).rays
+            del D
+            nash_subdivision(Cone([(-1, 2), (3, -1)]), 0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPredicates:

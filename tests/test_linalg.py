@@ -25,8 +25,8 @@ from nashtoric import (
     smith_normal_form,
 )
 from nashtoric.cones import dual_description
-from nashtoric.linalg import check_characteristic, rank, reduce_independent
-from nashtoric.linalg import solve_integer
+from nashtoric.linalg import adjugate, check_characteristic, rank, reduce_independent
+from nashtoric.linalg import hnf_column_step, hnf_top_entry, solve_integer
 
 from conftest import RUNNING_COLS, RUNNING_HNF_COLS, random_unimodular
 from oracles import det_cofactor, hnf_by_search, is_hnf, snf_factors_by_minor_gcd
@@ -134,6 +134,30 @@ class TestHermite:
         assert is_hnf(H.data)
         assert U @ A == H
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.integers(0, 2**32),
+                st.integers(1, n),
+                st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                st.booleans(),
+            )
+        )
+    )
+    def test_top_entry_matches_column_step(self, case):
+        """The row-0 preview is the row-0 entry of the step, for every
+        r >= 1; a zero tail U[r:] * col leaves no new pivot."""
+        seed, r, w, zero_tail = case
+        n = len(w)
+        U = random_unimodular(n, random.Random(seed))
+        col = w
+        if zero_tail:
+            # col = U^-1 w with w zero past row r, so U[r:] * col = 0.
+            inverse = hermite_normal_form(U)[1]
+            col = inverse.mult_vector(w[:r] + [0] * (n - r))
+        assert hnf_top_entry(U.data, r, col) == hnf_column_step(U.data, r, col)[2][0]
+
     def test_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import hermite_normal_form as sym_hnf
@@ -179,6 +203,51 @@ class TestDeterminant:
             MA, MB = IntMatrix(A), IntMatrix(B)
             assert determinant(MA) == det_cofactor(A)
             assert determinant(MA) * determinant(MB) == determinant(MA @ MB)
+
+
+class TestAdjugate:
+    @staticmethod
+    def cofactor_adjugate(rows):
+        n = len(rows)
+        if n == 1:
+            return [[1]]
+        return [
+            [
+                (-1) ** (i + j)
+                * det_cofactor(
+                    [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+
+    def test_cofactor_oracle_and_contract(self):
+        rng = random.Random(13)
+        # Zero leading entries force row swaps in the elimination.
+        cases = [[[0, 1], [1, 0]], [[0, 2, 1], [0, 1, 3], [1, 0, 0]], [[-7]]]
+        while len(cases) < 200:
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.3:
+                for i in range(n):
+                    rows[i][i] = 0
+            if det_cofactor(rows):
+                cases.append(rows)
+        swaps = 0
+        for rows in cases:
+            n = len(rows)
+            swaps += rows[0][0] == 0
+            adj = adjugate(list(zip(*rows)))
+            assert [list(row) for row in adj] == self.cofactor_adjugate(rows)
+            d = det_cofactor(rows)
+            product = IntMatrix(rows) @ IntMatrix(adj)
+            assert product == IntMatrix([[d * (i == j) for j in range(n)] for i in range(n)])
+        assert swaps >= 20
+
+    def test_singular(self):
+        with pytest.raises(NotFullRankError):
+            adjugate([(1, 2), (2, 4)])
 
 
 def assert_smith_contract(rows):
