@@ -39,7 +39,7 @@ from math import factorial
 
 from .cones import Cone
 from .errors import InputError, SearchCapExceeded
-from .linalg import IntMatrix, Vector, hermite_normal_form
+from .linalg import IntMatrix, Vector, dot, hermite_normal_form
 from .linalg import hnf_column_step, hnf_top_entry
 from .semigroups import AffineSemigroup
 
@@ -167,17 +167,20 @@ def _unimodular_cone_data(rays: tuple[Vector, ...], n: int):
     _, inverse = hermite_normal_form(IntMatrix.from_columns(rays))
     key = CanonicalKey.from_matrix(IntMatrix.identity(n))
     # Permutations of sorted rows come out in sorted order.
-    return key, tuple(map(IntMatrix, permutations(sorted(inverse.data))))
+    return key, tuple(permutations(sorted(inverse.data)))
 
 
 def _canonical_cone_data(C: Cone):
+    """(key, transforms), cached on the cone: every transform realizing
+    the key as a tuple of integer rows, in sorted order."""
+
     def compute():
         C.check_pointed_full_dimensional("canonical form")
         if C.is_unimodular():
             return _unimodular_cone_data(C.rays, C.ambient_rank)
         cols, us = _max_hnf_over_permutations(C.rays, C.ambient_rank)
         key = CanonicalKey.from_matrix(IntMatrix.from_columns(cols))
-        return key, tuple(IntMatrix(u) for u in us)
+        return key, tuple(us)
 
     return C._cached("canonical", compute)
 
@@ -185,7 +188,7 @@ def _canonical_cone_data(C: Cone):
 def canonical_cone(C: Cone) -> tuple[CanonicalKey, IntMatrix]:
     """Canonical key of a cone and one unimodular transform realizing it."""
     key, us = _canonical_cone_data(C)
-    return key, us[0]
+    return key, IntMatrix(us[0])
 
 
 def canonical_semigroup(S: AffineSemigroup) -> CanonicalKey:
@@ -196,7 +199,7 @@ def canonical_semigroup(S: AffineSemigroup) -> CanonicalKey:
     _, us = _canonical_cone_data(S.hull)
     best = None
     for U in us:
-        image = sorted(U.mult_vector(g) for g in S.generators)
+        image = sorted(tuple(dot(row, g) for row in U) for g in S.generators)
         M = IntMatrix.from_columns(image)
         key = tuple(x for row in M.data for x in row)
         if best is None or key < best[0]:

@@ -2,7 +2,8 @@
 
 A cone is created from integer generators; facet inequalities, extreme
 rays, pointedness, and duals are derived with an exact double description
-method.
+method (Fukuda-Prodon 1996): the facets from the generators, and the
+extreme rays from the facets.
 """
 
 from collections.abc import Iterable, Sequence
@@ -243,21 +244,11 @@ class Cone:
     @property
     def rays(self) -> tuple[Vector, ...]:
         """Extreme rays (for pointed cones).  For a cone with lineality,
-        the extreme rays modulo the lineality space."""
+        the extreme rays modulo the lineality space.  Either way they are
+        the double description of the inequality rows."""
 
         def compute():
-            eq, fac = self._dual_data()
-            if self.is_pointed():
-                # Pointed: keep generators whose tight facets have rank n-1.
-                out = []
-                for g in self._gens:
-                    tight = [f for f in fac if dot(f, g) == 0]
-                    tight.extend(eq)
-                    if rank(tight) == self._n - 1:
-                        out.append(g)
-                return tuple(sorted(out))
-            _, r = dual_description(self.inequality_rows(), self._n)
-            return r
+            return dual_description(self.inequality_rows(), self._n)[1]
 
         return self._cached("rays", compute)
 

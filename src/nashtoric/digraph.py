@@ -17,18 +17,30 @@ from .blowup import nash_children, normalized_nash_children
 from .canonical import CanonicalKey, canonical_cone, canonical_semigroup
 from .cones import Cone
 from .errors import InputError, StoreError
-from .linalg import IntMatrix, check_characteristic, determinant
+from .linalg import IntMatrix, check_characteristic
 from .semigroups import AffineSemigroup
 
 STORE_VERSION = 1
 MODES = ("nash", "normalized")
 
 
+def _vertex(mode: str, payload: IntMatrix):
+    """The mode's semigroup or cone generated by the columns of payload."""
+    if mode == "nash":
+        return AffineSemigroup(payload.columns(), assume_minimal=True)
+    return Cone(payload)
+
+
+def _key(obj) -> CanonicalKey:
+    """Canonical key of a semigroup or a cone."""
+    if isinstance(obj, AffineSemigroup):
+        return canonical_semigroup(obj)
+    return canonical_cone(obj)[0]
+
+
 def epsilon_key(mode: str, rank: int) -> CanonicalKey:
     """Canonical key of the unimodular vertex for the given mode."""
-    if mode == "nash":
-        return canonical_semigroup(AffineSemigroup.standard(rank))
-    return canonical_cone(Cone(IntMatrix.identity(rank)))[0]
+    return _key(_vertex(mode, IntMatrix.identity(rank)))
 
 
 class DigraphStore:
@@ -195,31 +207,18 @@ class DigraphStore:
         return store
 
 
-def _payload_is_unimodular(matrix: IntMatrix) -> bool:
-    return matrix.is_square and abs(determinant(matrix)) == 1
-
-
 def _compute_children(
     store: DigraphStore, matrix: IntMatrix
 ) -> list[tuple[str, IntMatrix]]:
     """Children of a canonical payload of the store as (key, payload)
-    pairs; the store itself is not changed."""
-    # All unimodular vertices share the store's epsilon key byte-exactly.
-    eps = (store.epsilon, store.vertices[store.epsilon])
-    if _payload_is_unimodular(matrix):
-        return [eps]
-    nash = store.mode == "nash"
-    if nash:
-        S = AffineSemigroup(matrix.columns(), assume_minimal=True)
-        kids = nash_children(S, store.characteristic)
-    else:
-        kids = normalized_nash_children(Cone(matrix), store.characteristic)
+    pairs; the store itself is not changed.  No smoothness test: every
+    unimodular child's key is byte-equal to the store's epsilon, and in
+    normalized mode normalized_nash_children has cached every child's key."""
+    step = nash_children if store.mode == "nash" else normalized_nash_children
+    kids = step(_vertex(store.mode, matrix), store.characteristic)
     out: dict[str, IntMatrix] = {}
     for child in kids:
-        if child.is_unimodular():
-            out.setdefault(*eps)
-            continue
-        k = canonical_semigroup(child) if nash else canonical_cone(child)[0]
+        k = _key(child)
         out.setdefault(k.serialization, k.matrix)
     return sorted(out.items())
 
@@ -230,27 +229,19 @@ def vertex_key(store: DigraphStore, obj) -> tuple[str, IntMatrix]:
         if obj not in store.vertices:
             raise StoreError(f"unknown vertex key {obj!r}")
         return obj, store.vertices[obj]
-    if isinstance(obj, Cone):
-        if store.mode != "normalized":
-            raise StoreError("cone vertices belong to normalized-mode stores")
-        if obj.ambient_rank != store.rank:
-            raise StoreError("ambient rank does not match the store")
-        key = canonical_cone(obj)[0]
-        return key.serialization, key.matrix
-    if isinstance(obj, AffineSemigroup):
-        if store.mode != "nash":
-            raise StoreError("semigroup vertices belong to nash-mode stores")
-        if obj.ambient_rank != store.rank:
-            raise StoreError("ambient rank does not match the store")
-        key = canonical_semigroup(obj)
-        return key.serialization, key.matrix
-    raise StoreError(f"cannot key object of type {type(obj).__name__}")
+    kind = AffineSemigroup if store.mode == "nash" else Cone
+    if not isinstance(obj, kind):
+        raise StoreError(f"{store.mode}-mode vertices are {kind.__name__} objects")
+    if obj.ambient_rank != store.rank:
+        raise StoreError("ambient rank does not match the store")
+    key = _key(obj)
+    return key.serialization, key.matrix
 
 
 def expand(store: DigraphStore, vertex, payload: IntMatrix | None = None):
     """Compute (or look up) the children of one vertex, record them in the
-    store, and return the sorted child keys.  Unimodular vertices are
-    terminal and expand to themselves without recomputation."""
+    store, and return the sorted child keys.  The store is built with
+    epsilon expanded, so it expands to itself without recomputation."""
     if isinstance(vertex, str) and vertex not in store.vertices:
         if payload is None:
             raise StoreError(f"unknown vertex key {vertex!r} and no payload given")

@@ -16,8 +16,8 @@ is all the search's bound needs to reject a column.
 Elimination has two kernels.  The Smith form, lattice_index and
 solve_integer are built from the Hermite form; rank and the greedy bases
 of blowup.py share one echelon step, reduce_independent, over Q or GF(p).
-determinant and adjugate use fraction-free elimination (Bareiss 1968),
-the adjugate as one Gauss-Jordan pass over [M | I].
+determinant and adjugate share one fraction-free Gauss-Jordan pass
+(Bareiss 1968); the adjugate is that pass over [M | I].
 """
 
 from collections.abc import Iterable, Sequence
@@ -209,68 +209,50 @@ def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix(zip(*cols)), IntMatrix(U)
 
 
+def _bareiss(rows: list[list[int]], n: int) -> tuple[int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the first n
+    columns of n rows [M | B]: (det M, rows).  Every division is exact.  A
+    swap negates the row it moves up, so no sign is tracked, and the rows
+    end as [det(M) I | adj(M) B].  A singular M stops the pass at its
+    first column without a pivot, with det 0."""
+    prev = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0, rows
+            rows[k], rows[swap] = [-x for x in rows[swap]], rows[k]
+        Ak = rows[k]
+        pivot = Ak[k]
+        for i in range(n):
+            if i != k:
+                Ai = rows[i]
+                a = Ai[k]
+                rows[i] = [(pivot * x - a * y) // prev for x, y in zip(Ai, Ak)]
+        prev = pivot
+    return prev, rows
+
+
 def determinant(A: IntMatrix) -> int:
-    """Exact determinant via Bareiss fraction-free elimination."""
+    """Exact determinant by one fraction-free elimination pass."""
     if not A.is_square:
         raise InputError("determinant requires a square matrix")
-    n = A.rows
-    a = A.data
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    M = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        pivot = M[k][k]
-        for i in range(k + 1, n):
-            Mi, Mk = M[i], M[k]
-            mik = Mi[k]
-            for j in range(k + 1, n):
-                Mi[j] = (pivot * Mi[j] - mik * Mk[j]) // prev
-            Mi[k] = 0
-        prev = pivot
-    return sign * M[n - 1][n - 1]
+    return _bareiss([list(row) for row in A.data], A.rows)[0]
 
 
 def adjugate(cols: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     """Rows of the adjugate of the nonsingular square matrix M whose
-    columns are cols, so that M * adj = det(M) * I.
-
-    One fraction-free Gauss-Jordan elimination on [M | I] (Bareiss 1968):
-    every division is exact, and at the end the left block is d * I with
-    d = det(M) up to the sign of the row swaps, and the right block is
-    d * M^-1, the adjugate up to that same sign."""
+    columns are cols, so that M * adj = det(M) * I: the right block of
+    [M | I] after one fraction-free elimination pass."""
     n = len(cols)
-    A = [
+    rows = [
         list(row) + [int(i == j) for j in range(n)]
         for i, row in enumerate(zip(*cols))
     ]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if swap is None:
-                raise NotFullRankError("adjugate needs a nonsingular matrix")
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        Ak = A[k]
-        pivot = Ak[k]
-        for i in range(n):
-            if i != k:
-                Ai = A[i]
-                a = Ai[k]
-                A[i] = [(pivot * x - a * y) // prev for x, y in zip(Ai, Ak)]
-        prev = pivot
-    return tuple(tuple(sign * x for x in row[n:]) for row in A)
+    det, rows = _bareiss(rows, n)
+    if not det:
+        raise NotFullRankError("adjugate needs a nonsingular matrix")
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def smith_normal_form(

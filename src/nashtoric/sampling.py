@@ -43,13 +43,18 @@ class SampleSummary:
         return d
 
 
+def _random_columns(rng: random.Random, n: int, entry_bound: int) -> list:
+    """n to n + 2 columns in Z^n, entries uniform in +-entry_bound."""
+    m = rng.randint(n, n + 2)
+    return [
+        tuple(rng.randint(-entry_bound, entry_bound) for _ in range(n))
+        for _ in range(m)
+    ]
+
+
 def _random_cone(rng: random.Random, n: int, entry_bound: int) -> Cone:
     while True:
-        m = rng.randint(n, n + 2)
-        cols = [
-            tuple(rng.randint(-entry_bound, entry_bound) for _ in range(n))
-            for _ in range(m)
-        ]
+        cols = _random_columns(rng, n, entry_bound)
         if any(not any(c) for c in cols):
             continue
         C = Cone(cols)
@@ -59,12 +64,7 @@ def _random_cone(rng: random.Random, n: int, entry_bound: int) -> Cone:
 
 def _random_semigroup(rng: random.Random, n: int, entry_bound: int) -> AffineSemigroup:
     while True:
-        m = rng.randint(n, n + 2)
-        cols = [
-            tuple(rng.randint(-entry_bound, entry_bound) for _ in range(n))
-            for _ in range(m)
-        ]
-        cols = [c for c in cols if any(c)]
+        cols = [c for c in _random_columns(rng, n, entry_bound) if any(c)]
         if len(cols) < n or rank(cols) < n:
             continue
         C = Cone(cols)

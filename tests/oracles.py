@@ -2,9 +2,10 @@
 
 Every oracle here is deliberately naive and shares no code path with the
 implementation it checks: exhaustive search, cofactor expansion, minor
-gcds, box enumeration, small-coefficient functional sweeps, facets by
-cofactors with graded decomposition search, charts taken from the
-definition of the Nash blowup.  None of them imports the package.
+gcds, box enumeration, small-coefficient functional sweeps, extreme rays
+by the rank of their tight facets, facets by cofactors with graded
+decomposition search, charts taken from the definition of the Nash
+blowup.  None of them imports the package.
 """
 
 import itertools
@@ -160,6 +161,40 @@ def _solve_nonneg(rays, v):
     if any(x < 0 for x in xs):
         return None
     return xs
+
+
+def _rank_over_q(rows):
+    """Rank by rational Gaussian elimination."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(A[0]) if A else 0):
+        piv = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        for i in range(r + 1, len(A)):
+            f = A[i][c] / A[r][c]
+            A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        r += 1
+    return r
+
+
+def rays_by_tight_facets(generators, facet_normals, equalities):
+    """Extreme rays of the pointed cone spanned by generators, given its
+    facet normals and the equalities of its span: the generators whose
+    tight facet normals, together with the equalities, have rank n - 1."""
+    n = len(generators[0])
+    return tuple(
+        sorted(
+            g
+            for g in set(generators)
+            if _rank_over_q(
+                [f for f in facet_normals if sum(a * x for a, x in zip(f, g)) == 0]
+                + list(equalities)
+            )
+            == n - 1
+        )
+    )
 
 
 def hilbert_basis_oracle_graded(rays, facets, coord_cap=None):

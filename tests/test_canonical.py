@@ -115,7 +115,7 @@ class TestCanonicalCone:
             key, us = _canonical_cone_data(C)
             H, oracle_us = max_hnf_transforms_all_permutations(C.rays, _hnf_of_columns)
             assert key.matrix.data == H
-            assert [U.data for U in us] == oracle_us
+            assert list(us) == oracle_us
 
     def test_sorted_tail_keeps_search_small(self, monkeypatch):
         # Branching over every order of the tail places 514,699 columns on
@@ -154,7 +154,7 @@ class TestCanonicalCone:
         for C, (H, oracle_us) in zip(cones, expected):
             key, us = _canonical_cone_data(C)
             assert key.matrix.data == H == IntMatrix.identity(C.ambient_rank).data
-            assert [U.data for U in us] == oracle_us
+            assert list(us) == oracle_us
         for n in (1, 2, 3, 4):
             identity = IntMatrix.identity(n)
             anti = IntMatrix([row[::-1] for row in identity.data])

@@ -16,7 +16,7 @@ from conftest import (
     polyhedron_vertices,
     random_pointed_cone,
 )
-from oracles import cone_contains, vertices_by_functional_sweep
+from oracles import cone_contains, rays_by_tight_facets, vertices_by_functional_sweep
 
 QUADRANT = Cone([(1, 0), (0, 1)])
 
@@ -129,6 +129,37 @@ class TestContains:
             assert C.contains(v) == cone_contains(C.rays, v)
             checked += 1
         assert checked == 40
+
+
+@st.composite
+def pointed_cones(draw):
+    """A pointed cone in Z^n, 2 <= n <= 5, of dimension d: d to d + 3
+    combinations with small coefficients of d independent random columns,
+    then up to two sums of two of them, which are never extreme.  Half of
+    the cones are full-dimensional (d = n), the rest have d < n."""
+    n = draw(st.integers(2, 5))
+    d = n if draw(st.booleans()) else draw(st.integers(1, n - 1))
+    entry = st.integers(-2, 2)
+    basis = draw(st.lists(st.tuples(*[entry] * n), min_size=d, max_size=d))
+    assume(rank(basis) == d)
+    coeffs = st.tuples(*[entry] * d).filter(any)
+    combos = draw(st.lists(coeffs, min_size=d, max_size=d + 3))
+    cols = [tuple(dot(row, c) for row in zip(*basis)) for c in combos]
+    pick = st.integers(0, len(cols) - 1)
+    for i, j in draw(st.lists(st.tuples(pick, pick), max_size=2)):
+        cols.append(tuple(a + b for a, b in zip(cols[i], cols[j])))
+    assume(all(map(any, cols)))
+    C = Cone(cols)
+    assume(C.is_pointed())
+    return C
+
+
+class TestRaysAgainstTightFacets:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(pointed_cones())
+    def test_rays_match_tight_facet_rank(self, C):
+        want = rays_by_tight_facets(C.generators, C.facet_normals, C.span_equalities)
+        assert C.rays == want
 
 
 class TestFacetRayIncidence:

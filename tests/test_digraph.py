@@ -89,6 +89,18 @@ class TestExpand:
         with pytest.raises(StoreError):
             expand(st, "2 x 2: 1,1,0,2")
 
+    @pytest.mark.parametrize("mode", ["nash", "normalized"])
+    @pytest.mark.parametrize("rows", [[(0, 1), (1, 0)], [(1, 0), (0, 1)], [(1, 1), (0, 1)]])
+    def test_unimodular_payload_expands_to_epsilon(self, mode, rows):
+        # A unimodular payload under its own key, which is epsilon only for
+        # the first payload in nash mode: its one child is itself, and the
+        # child's canonical key is epsilon.
+        st = DigraphStore(mode, 0, 2)
+        payload = IntMatrix(rows)
+        key = f"2 x 2: {','.join(str(x) for row in rows for x in row)}"
+        assert expand(st, key, payload) == (st.epsilon,)
+        assert st.children_of(key) == (st.epsilon,)
+
     def test_key_with_payload(self, chi_cone):
         st = DigraphStore("normalized", 0, 2)
         key = canonical_cone(chi_cone)[0]
