@@ -8,7 +8,7 @@ every primitive dual ray), plus simpliciality, lattice index, saturation
 and unimodularity flags.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cones import Cone
 from .linalg import IntMatrix, Vector, lattice_index, smith_normal_form, solve_integer
@@ -30,22 +30,9 @@ class AnalysisReport:
     unimodular: bool
 
     def to_dict(self) -> dict:
+        """The fields in order, each tuple as a list."""
         return {
-            "rank": self.rank,
-            "simplicial": self.simplicial,
-            "index": self.index,
-            "gorenstein": self.gorenstein,
-            "gorenstein_witness": list(self.gorenstein_witness)
-            if self.gorenstein_witness is not None
-            else None,
-            "cyclic_quotient": self.cyclic_quotient,
-            "invariant_factors": list(self.invariant_factors)
-            if self.invariant_factors is not None
-            else None,
-            "hypersurface": self.hypersurface,
-            "hilbert_count": self.hilbert_count,
-            "saturated": self.saturated,
-            "unimodular": self.unimodular,
+            k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()
         }
 
 

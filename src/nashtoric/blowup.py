@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from .canonical import canonical_cone
 from .cones import Cone
 from .errors import BasisCapExceeded, InputError, NotFullRankError, NotPointedError
-from .linalg import Vector, adjugate, check_characteristic, dot, make_primitive
-from .linalg import reduce_independent, vec_sub
+from .linalg import Vector, adjugate, check_characteristic, dot, independent
+from .linalg import make_primitive, vec_sub
 from .semigroups import AffineSemigroup, _minimalize, hilbert_basis
 
 DEFAULT_BASIS_CAP = 10**6
@@ -36,20 +36,6 @@ DEFAULT_BASIS_CAP = 10**6
 
 def _vector_sum(vectors: Iterable[Vector]) -> Vector:
     return tuple(map(sum, zip(*vectors)))
-
-
-def _greedy_basis(H: tuple[Vector, ...], key, p: int) -> tuple[Vector, ...]:
-    """The basis of least weight under key (Edmonds 1971): H in increasing
-    key order, keeping each element independent of those kept."""
-    basis, rows = [], []
-    for h in sorted(H, key=key):
-        row = reduce_independent(rows, h, p)
-        if row is not None:
-            basis.append(h)
-            rows.append(row)
-            if len(rows) == len(h):
-                break
-    return tuple(basis)
 
 
 def _vertex_charts(
@@ -70,7 +56,7 @@ def _vertex_charts(
     if max_bases is None:
         max_bases = DEFAULT_BASIS_CAP
     w0 = _vector_sum(C.facet_normals)
-    todo = [_greedy_basis(H, lambda h: (dot(w0, h), h), p)]
+    todo = [independent(sorted(H, key=lambda h: (dot(w0, h), h)), p)]
     charts = {_vector_sum(todo[0]): None}
     crossed: set[tuple[Vector, Vector]] = set()
     while todo:
@@ -90,7 +76,7 @@ def _vertex_charts(
             if 1 + len(crossed) >= max_bases:
                 raise BasisCapExceeded(max_bases)
             w = _vector_sum(f for f in K.facet_normals if dot(f, e) == 0)
-            J = _greedy_basis(H, lambda h: (dot(w, h), -dot(e, h), h), p)
+            J = independent(sorted(H, key=lambda h: (dot(w, h), -dot(e, h), h)), p)
             u = _vector_sum(J)
             crossed.add((u, make_primitive(vec_sub(v, u))))
             if u not in charts:

@@ -211,7 +211,7 @@ class Cone:
     # -- structural predicates -------------------------------------------
 
     def is_full_dimensional(self) -> bool:
-        return rank(self._gens) == self._n
+        return not self.span_equalities
 
     def is_pointed(self) -> bool:
         def compute():

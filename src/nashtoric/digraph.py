@@ -4,7 +4,8 @@ A store holds canonical vertex keys with their payload matrices and the
 directed child edges.  Exploration is the breadth-first resolution
 subgraph: expand a vertex, record its children, stop when the reachable
 closure is complete or when a budget runs out.  Stores round-trip through
-a JSON-lines file and merge by set union when their metadata agree.
+a JSON-lines file, which load reads in one pass in file order, and merge
+by set union when their metadata agree.
 """
 
 import json
@@ -154,11 +155,11 @@ class DigraphStore:
 
     @classmethod
     def load(cls, path) -> "DigraphStore":
+        """Read a saved store, or a concatenation of saved stores, in one
+        pass in file order.  The first record must be a meta line and later
+        meta lines must agree with it; each vertex and edge is added at its
+        own line, so an error names the line that raised it."""
         store: DigraphStore | None = None
-        # Vertices and edges are added once the meta line is known; each
-        # keeps its line number for the error that adding it may raise.
-        pending_vertices: list[tuple[int, str, IntMatrix]] = []
-        pending_edges: list[tuple[int, str, str]] = []
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -181,12 +182,12 @@ class DigraphStore:
                             store.rank,
                         ) != meta:
                             raise StoreError("conflicting meta lines")
+                    elif store is None:
+                        raise StoreError("the first record must be a meta line")
                     elif kind == "vertex":
-                        pending_vertices.append(
-                            (lineno, rec["key"], IntMatrix(rec["matrix"]))
-                        )
+                        store.add_vertex(rec["key"], IntMatrix(rec["matrix"]))
                     elif kind == "edge":
-                        pending_edges.append((lineno, rec["from"], rec["to"]))
+                        store.add_edge(rec["from"], rec["to"])
                     else:
                         raise StoreError(f"unknown record kind {kind!r}")
                 except StoreError as exc:
@@ -197,13 +198,6 @@ class DigraphStore:
                     ) from None
         if store is None:
             raise StoreError(f"{path}: no meta line found")
-        try:
-            for lineno, key, matrix in pending_vertices:
-                store.add_vertex(key, matrix)
-            for lineno, src, dst in pending_edges:
-                store.add_edge(src, dst)
-        except StoreError as exc:
-            raise StoreError(f"{path}: line {lineno}: {exc}") from None
         return store
 
 
@@ -238,18 +232,12 @@ def vertex_key(store: DigraphStore, obj) -> tuple[str, IntMatrix]:
     return key.serialization, key.matrix
 
 
-def expand(store: DigraphStore, vertex, payload: IntMatrix | None = None):
-    """Compute (or look up) the children of one vertex, record them in the
-    store, and return the sorted child keys.  The store is built with
-    epsilon expanded, so it expands to itself without recomputation."""
-    if isinstance(vertex, str) and vertex not in store.vertices:
-        if payload is None:
-            raise StoreError(f"unknown vertex key {vertex!r} and no payload given")
-        store.add_vertex(vertex, payload)
-        key, matrix = vertex, payload
-    else:
-        key, matrix = vertex_key(store, vertex)
-        store.add_vertex(key, matrix)
+def expand(store: DigraphStore, vertex):
+    """Compute (or look up) the children of a stored key, cone or semigroup,
+    record them in the store, and return the sorted child keys.  Epsilon
+    is expanded when the store is built, so it expands to itself."""
+    key, matrix = vertex_key(store, vertex)
+    store.add_vertex(key, matrix)
     if store.is_expanded(key):
         return store.children_of(key)
     children = _compute_children(store, matrix)
@@ -315,51 +303,45 @@ def resolution_subgraph(
     return Complete(len(seen), reach_edges)
 
 
-def _tarjan_sccs(keys, out_edges) -> list[list[str]]:
-    """Iterative Tarjan strongly connected components, deterministic."""
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
+def _sccs(keys, out_edges) -> list[list[str]]:
+    """Strongly connected components, each sorted (Kosaraju-Sharir): an
+    iterative depth-first search records the finish order and the reverse
+    graph, then each component is what a second search reaches on the
+    reverse graph from the unassigned vertex that finished last."""
+    seen: set[str] = set()
+    finished: list[str] = []
+    reverse: dict[str, list[str]] = {}
     for root in keys:
-        if root in index:
+        if root in seen:
             continue
+        seen.add(root)
         work = [(root, iter(out_edges(root)))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
+                reverse.setdefault(w, []).append(v)
+                if w not in seen:
+                    seen.add(w)
                     work.append((w, iter(out_edges(w))))
-                    advanced = True
                     break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(scc))
+            else:
+                work.pop()
+                finished.append(v)
+    assigned: set[str] = set()
+    sccs: list[list[str]] = []
+    for root in reversed(finished):
+        if root in assigned:
+            continue
+        assigned.add(root)
+        scc, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            scc.append(v)
+            for w in reverse.get(v, ()):
+                if w not in assigned:
+                    assigned.add(w)
+                    stack.append(w)
+        sccs.append(sorted(scc))
     return sccs
 
 
@@ -368,7 +350,7 @@ def find_cycles(store: DigraphStore, max_report: int | None = None):
     per self-loop), excluding the epsilon self-loop.  A cycle is a list of
     keys whose consecutive pairs, and last-to-first pair, are edges."""
     keys = sorted(store.vertices)
-    sccs = _tarjan_sccs(keys, store.children_of)
+    sccs = _sccs(keys, store.children_of)
     cycles: list[list[str]] = []
     for scc in sorted(sccs):
         if max_report is not None and len(cycles) >= max_report:

@@ -14,8 +14,10 @@ hnf_top_entry previews the row-0 entry of a step without taking it, which
 is all the search's bound needs to reject a column.
 
 Elimination has two kernels.  The Smith form, lattice_index and
-solve_integer are built from the Hermite form; rank and the greedy bases
-of blowup.py share one echelon step, reduce_independent, over Q or GF(p).
+solve_integer are built from the Hermite form.  One echelon step,
+reduce_independent, over Q or GF(p), drives the one greedy run,
+independent, which gives rank, the greedy bases of blowup.py and the seed
+of the placing triangulation of semigroups.py.
 determinant and adjugate share one fraction-free Gauss-Jordan pass
 (Bareiss 1968); the adjugate is that pass over [M | I].
 """
@@ -306,17 +308,24 @@ def reduce_independent(rows: Sequence, v: Sequence[int], p: int):
     return None if pos is None else (pos, w)
 
 
-def rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of a set of integer vectors over Q: the echelon rows that
-    reduce_independent keeps, stopping once they span the whole space."""
-    echelon: list = []
-    for v in rows:
-        if len(echelon) == len(v):
-            break
-        row = reduce_independent(echelon, v, 0)
+def independent(vectors: Iterable[Sequence[int]], p: int) -> list:
+    """The greedy run (Edmonds 1971): in the given order, each vector
+    independent over Q (p = 0) or GF(p) of the ones kept before it,
+    stopping once the kept vectors form a basis."""
+    kept, echelon = [], []
+    for v in vectors:
+        row = reduce_independent(echelon, v, p)
         if row is not None:
+            kept.append(v)
             echelon.append(row)
-    return len(echelon)
+            if len(echelon) == len(v):
+                break
+    return kept
+
+
+def rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over Q of a set of integer vectors: the length of its greedy run."""
+    return len(independent(rows, 0))
 
 
 def lattice_index(A: IntMatrix) -> int:

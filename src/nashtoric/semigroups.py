@@ -26,6 +26,7 @@ from .linalg import (
     adjugate,
     determinant,
     dot,
+    independent,
     int_tuple,
     lattice_basis_of_columns,
     rank,
@@ -38,17 +39,11 @@ def _placing_triangulation(rays: Sequence[Vector], n: int) -> list[tuple[int, ..
 
     Rays are placed one at a time; each new ray is joined to the boundary
     facets of the current subcone that are visible from it."""
-    order = list(range(len(rays)))
     # Seed with the first n independent rays (in sorted order).
-    seed: list[int] = []
-    for i in order:
-        if rank([rays[j] for j in seed] + [rays[i]]) > len(seed):
-            seed.append(i)
-            if len(seed) == n:
-                break
+    seed = [rays.index(r) for r in independent(rays, 0)]
     if len(seed) < n:
         raise NotFullRankError("cone is not full-dimensional")
-    rest = [i for i in order if i not in seed]
+    rest = [i for i in range(len(rays)) if i not in seed]
     simplices = [tuple(seed)]
     placed = [rays[i] for i in seed]
     for i in rest:

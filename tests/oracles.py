@@ -179,6 +179,26 @@ def _rank_over_q(rows):
     return r
 
 
+def rank_over_field(rows, p):
+    """Rank over Q (p = 0) by rational elimination, or over GF(p) by
+    elimination modulo p."""
+    if not p:
+        return _rank_over_q(rows)
+    A = [[x % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(A[0]) if A else 0):
+        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][c], p - 2, p)
+        for i in range(r + 1, len(A)):
+            f = A[i][c] * inv % p
+            A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        r += 1
+    return r
+
+
 def rays_by_tight_facets(generators, facet_normals, equalities):
     """Extreme rays of the pointed cone spanned by generators, given its
     facet normals and the equalities of its span: the generators whose
@@ -355,6 +375,18 @@ def all_simple_cycles(vertices, edges, max_len=6):
     for v in sorted(vertices):
         walk([v])
     return cycles
+
+
+def sccs_by_closure(vertices, edges):
+    """Strongly connected components as frozensets: the classes of mutual
+    reachability in the reflexive transitive closure of edges (Warshall)."""
+    vs = sorted(vertices)
+    reach = {v: {v} | {w for a, w in edges if a == v} for v in vs}
+    for k in vs:
+        for v in vs:
+            if k in reach[v]:
+                reach[v] |= reach[k]
+    return {frozenset(w for w in vs if w in reach[v] and v in reach[w]) for v in vs}
 
 
 def _columns_matrix(cols):

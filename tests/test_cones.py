@@ -160,6 +160,7 @@ class TestRaysAgainstTightFacets:
     def test_rays_match_tight_facet_rank(self, C):
         want = rays_by_tight_facets(C.generators, C.facet_normals, C.span_equalities)
         assert C.rays == want
+        assert C.is_full_dimensional() == (rank(C.generators) == C.ambient_rank)
 
 
 class TestFacetRayIncidence:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -17,10 +18,10 @@ from nashtoric import (
     find_cycles,
     resolution_subgraph,
 )
-from nashtoric.digraph import vertex_key
+from nashtoric.digraph import _sccs, vertex_key
 
 from conftest import CYCLE2_COLS, LOOP4_COLS
-from oracles import all_simple_cycles
+from oracles import all_simple_cycles, sccs_by_closure
 
 
 @pytest.fixture
@@ -96,15 +97,16 @@ class TestExpand:
         # the first payload in nash mode: its one child is itself, and the
         # child's canonical key is epsilon.
         st = DigraphStore(mode, 0, 2)
-        payload = IntMatrix(rows)
         key = f"2 x 2: {','.join(str(x) for row in rows for x in row)}"
-        assert expand(st, key, payload) == (st.epsilon,)
+        st.add_vertex(key, IntMatrix(rows))
+        assert expand(st, key) == (st.epsilon,)
         assert st.children_of(key) == (st.epsilon,)
 
     def test_key_with_payload(self, chi_cone):
         st = DigraphStore("normalized", 0, 2)
         key = canonical_cone(chi_cone)[0]
-        kids = expand(st, key.serialization, key.matrix)
+        st.add_vertex(key.serialization, key.matrix)
+        kids = expand(st, key.serialization)
         assert len(kids) == 2
 
 
@@ -250,6 +252,21 @@ class TestFindCycles:
         assert find_cycles(st, max_report=0) == []
 
 
+class TestSccs:
+    def test_against_closure_oracle(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            vertices = [f"v{i}" for i in range(rng.randint(1, 9))]
+            density = rng.random() * 0.4
+            edges = {(a, b) for a in vertices for b in vertices if rng.random() < density}
+            out = {v: sorted(b for a, b in edges if a == v) for v in vertices}
+            keys = rng.sample(vertices, len(vertices))
+            sccs = _sccs(keys, out.__getitem__)
+            assert all(scc == sorted(scc) for scc in sccs)
+            assert sorted(v for scc in sccs for v in scc) == sorted(vertices)
+            assert {frozenset(scc) for scc in sccs} == sccs_by_closure(vertices, edges)
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path, chi_cone):
         st = DigraphStore("normalized", 0, 2)
@@ -321,8 +338,21 @@ class TestPersistence:
     def test_payload_must_match_key(self):
         st = DigraphStore("normalized", 0, 2)
         with pytest.raises(StoreError, match="does not serialize"):
-            expand(st, "2 x 2: 1,1,0,3", IntMatrix([[8, 1], [0, 3]]))
+            st.add_vertex("2 x 2: 1,1,0,3", IntMatrix([[8, 1], [0, 3]]))
         assert "2 x 2: 1,1,0,3" not in st.vertices
+
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_first_record_must_be_meta(self, tmp_path, first):
+        # The vertex line, or the edge line, of a saved store moved above
+        # its meta line.
+        st = DigraphStore("normalized", 0, 2)
+        path = tmp_path / "s.jsonl"
+        st.save(path)
+        lines = path.read_text().splitlines()
+        lines.insert(0, lines.pop(first))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StoreError, match=r"s\.jsonl: line 1: .*meta line"):
+            DigraphStore.load(path)
 
     @pytest.mark.parametrize("kind", ["vertex", "edge"])
     def test_deferred_record_error_names_path_and_line(self, tmp_path, kind):

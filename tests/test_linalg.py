@@ -25,11 +25,13 @@ from nashtoric import (
     smith_normal_form,
 )
 from nashtoric.cones import dual_description
-from nashtoric.linalg import adjugate, check_characteristic, rank, reduce_independent
+from nashtoric.linalg import adjugate, check_characteristic, independent, rank
+from nashtoric.linalg import reduce_independent
 from nashtoric.linalg import hnf_column_step, hnf_top_entry, solve_integer
 
 from conftest import RUNNING_COLS, RUNNING_HNF_COLS, random_unimodular
-from oracles import det_cofactor, hnf_by_search, is_hnf, snf_factors_by_minor_gcd
+from oracles import det_cofactor, hnf_by_search, is_hnf, rank_over_field
+from oracles import snf_factors_by_minor_gcd
 
 small_matrix = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.integers(min_value=1, max_value=5).flatmap(
@@ -385,6 +387,42 @@ class TestRank:
                         break
                     echelon.append(row)
                 assert independent == is_basis_modulo(cols, p)
+
+
+class TestIndependent:
+    @pytest.mark.parametrize("p", [0, 2, 3, 5])
+    def test_greedy_run_against_elimination(self, p):
+        rng = random.Random(31 + p)
+        exits = {"basis": 0, "exhausted": 0}
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            vs = [
+                tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(0, 2 * n + 1))
+            ]
+            it = iter(vs)
+            kept = independent(it, p)
+            examined = vs[: len(vs) - len(list(it))]
+            # The kept vectors are independent over the field.
+            assert rank_over_field(kept, p) == len(kept)
+            # In order, each examined vector is the next kept one, or it
+            # depends on the vectors kept before it.
+            j = 0
+            for v in examined:
+                if j < len(kept) and v is kept[j]:
+                    j += 1
+                else:
+                    assert rank_over_field(kept[:j] + [v], p) == j
+            assert j == len(kept)
+            # The run stops at the vector that completes a basis, and
+            # otherwise reads every vector.
+            if len(kept) == n:
+                assert examined[-1] is kept[-1]
+                exits["basis"] += 1
+            else:
+                assert examined == vs
+                exits["exhausted"] += 1
+        assert min(exits.values()) >= 20
 
 
 class TestVectorOps:
