@@ -1,11 +1,13 @@
 """Persistent partial knowledge of the Nash and normalized Nash digraphs.
 
-A store holds canonical vertex keys with their payload matrices and the
-directed child edges.  Exploration is the breadth-first resolution
-subgraph: expand a vertex, record its children, stop when the reachable
-closure is complete or when a budget runs out.  Stores round-trip through
-a JSON-lines file, which load reads in one pass in file order, and merge
-by set union when their metadata agree.
+A store holds each vertex once, as its canonical key, and the directed
+child edges.  A key spells out its canonical payload matrix, which
+CanonicalKey.parse reads back only to expand, save or draw a vertex.
+Exploration is the breadth-first resolution subgraph: expand a vertex,
+record its children, stop when the reachable closure is complete or when
+a budget runs out.  Stores round-trip through a JSON-lines file, which
+load reads in one pass in file order, and merge by set union when their
+metadata agree.
 """
 
 import json
@@ -45,8 +47,8 @@ def epsilon_key(mode: str, rank: int) -> CanonicalKey:
 
 
 class DigraphStore:
-    """Vertices (canonical payload matrices) and directed edges of a
-    partially known Nash digraph."""
+    """A partially known Nash digraph: _out maps each vertex, held only as
+    its canonical key, to the keys of its children."""
 
     def __init__(self, mode: str, characteristic: int, rank: int):
         if mode not in MODES:
@@ -56,7 +58,6 @@ class DigraphStore:
         self.mode = mode
         self.characteristic = check_characteristic(characteristic)
         self.rank = rank
-        self.vertices: dict[str, IntMatrix] = {}
         self._out: dict[str, set[str]] = {}
         eps = epsilon_key(mode, rank)
         self.add_vertex(eps.serialization, eps.matrix)
@@ -74,6 +75,11 @@ class DigraphStore:
         }
 
     @property
+    def vertices(self):
+        """The stored keys, as a read-only view."""
+        return self._out.keys()
+
+    @property
     def edges(self) -> frozenset[tuple[str, str]]:
         """The (source, target) pairs, read from the out-neighbour sets."""
         return frozenset((s, d) for s, dsts in self._out.items() for d in dsts)
@@ -83,18 +89,12 @@ class DigraphStore:
             raise StoreError(
                 f"payload has {matrix.rows} rows, store rank is {self.rank}"
             )
-        existing = self.vertices.get(key)
-        if existing is not None:
-            if existing != matrix:
-                raise StoreError(f"conflicting payloads for key {key!r}")
-            return
         if key != CanonicalKey.from_matrix(matrix).serialization:
             raise StoreError(f"key {key!r} does not serialize its payload")
-        self.vertices[key] = matrix
         self._out.setdefault(key, set())
 
     def add_edge(self, src: str, dst: str) -> None:
-        if src not in self.vertices or dst not in self.vertices:
+        if src not in self._out or dst not in self._out:
             raise StoreError("edge endpoints must be stored vertices")
         self._out[src].add(dst)
 
@@ -105,7 +105,7 @@ class DigraphStore:
         return bool(self._out.get(key))
 
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self._out)
 
     def edge_count(self) -> int:
         return sum(len(dsts) for dsts in self._out.values())
@@ -117,10 +117,9 @@ class DigraphStore:
             other.rank,
         ):
             raise StoreError("cannot merge stores with different metadata")
-        for key, matrix in other.vertices.items():
-            self.add_vertex(key, matrix)
-        for src, dst in other.edges:
-            self.add_edge(src, dst)
+        # Each key of other passed add_vertex under the same rank.
+        for key, dsts in other._out.items():
+            self._out.setdefault(key, set()).update(dsts)
 
     # -- persistence -------------------------------------------------------
 
@@ -133,16 +132,9 @@ class DigraphStore:
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(self.meta) + "\n")
                 for key in sorted(self.vertices):
-                    fh.write(
-                        json.dumps(
-                            {
-                                "kind": "vertex",
-                                "key": key,
-                                "matrix": self.vertices[key].to_lists(),
-                            }
-                        )
-                        + "\n"
-                    )
+                    matrix = CanonicalKey.parse(key).matrix.to_lists()
+                    record = {"kind": "vertex", "key": key, "matrix": matrix}
+                    fh.write(json.dumps(record) + "\n")
                 for src, dst in sorted(self.edges):
                     fh.write(json.dumps({"kind": "edge", "from": src, "to": dst}) + "\n")
                 fh.flush()
@@ -201,14 +193,14 @@ class DigraphStore:
         return store
 
 
-def _compute_children(
-    store: DigraphStore, matrix: IntMatrix
-) -> list[tuple[str, IntMatrix]]:
-    """Children of a canonical payload of the store as (key, payload)
-    pairs; the store itself is not changed.  No smoothness test: every
-    unimodular child's key is byte-equal to the store's epsilon, and in
-    normalized mode normalized_nash_children has cached every child's key."""
+def _compute_children(store: DigraphStore, key: str) -> list[tuple[str, IntMatrix]]:
+    """Children of a stored key as sorted (key, payload) pairs, from the
+    payload that the key spells out; the store itself is not changed.  No
+    smoothness test: every unimodular child's key is byte-equal to the
+    store's epsilon, and in normalized mode normalized_nash_children has
+    cached every child's key."""
     step = nash_children if store.mode == "nash" else normalized_nash_children
+    matrix = CanonicalKey.parse(key).matrix
     kids = step(_vertex(store.mode, matrix), store.characteristic)
     out: dict[str, IntMatrix] = {}
     for child in kids:
@@ -217,30 +209,32 @@ def _compute_children(
     return sorted(out.items())
 
 
-def vertex_key(store: DigraphStore, obj) -> tuple[str, IntMatrix]:
-    """Canonical (key, payload) of a cone or semigroup for this store."""
+def vertex_key(store: DigraphStore, obj) -> str:
+    """The stored key of a key, cone or semigroup.  A key must already be
+    stored, and nothing is parsed; a cone or semigroup is canonicalized
+    and added to the store."""
     if isinstance(obj, str):
-        if obj not in store.vertices:
+        if obj not in store._out:
             raise StoreError(f"unknown vertex key {obj!r}")
-        return obj, store.vertices[obj]
+        return obj
     kind = AffineSemigroup if store.mode == "nash" else Cone
     if not isinstance(obj, kind):
         raise StoreError(f"{store.mode}-mode vertices are {kind.__name__} objects")
     if obj.ambient_rank != store.rank:
         raise StoreError("ambient rank does not match the store")
     key = _key(obj)
-    return key.serialization, key.matrix
+    store.add_vertex(key.serialization, key.matrix)
+    return key.serialization
 
 
 def expand(store: DigraphStore, vertex):
     """Compute (or look up) the children of a stored key, cone or semigroup,
     record them in the store, and return the sorted child keys.  Epsilon
     is expanded when the store is built, so it expands to itself."""
-    key, matrix = vertex_key(store, vertex)
-    store.add_vertex(key, matrix)
+    key = vertex_key(store, vertex)
     if store.is_expanded(key):
         return store.children_of(key)
-    children = _compute_children(store, matrix)
+    children = _compute_children(store, key)
     for child_key, child_matrix in children:
         store.add_vertex(child_key, child_matrix)
         store.add_edge(key, child_key)
@@ -283,8 +277,7 @@ def resolution_subgraph(
     has no other effect."""
     if max_vertices <= 0 or max_seconds <= 0 or threads <= 0:
         raise InputError("budgets and thread count must be positive")
-    start_key, start_matrix = vertex_key(store, start)
-    store.add_vertex(start_key, start_matrix)
+    start_key = vertex_key(store, start)
     deadline = time.monotonic() + max_seconds
     seen = {start_key}
     queue: deque[str] = deque([start_key])
@@ -396,7 +389,8 @@ def export_dot(store: DigraphStore) -> str:
     circle, every other vertex a box labeled with its payload matrix."""
     lines = ["digraph nash {"]
     for key in sorted(store.vertices):
-        label = json.dumps(store.vertices[key].to_lists(), separators=(",", ""))
+        label = CanonicalKey.parse(key).matrix.to_lists()
+        label = json.dumps(label, separators=(",", ""))
         label = label.replace('"', '\\"')
         shape = "doublecircle" if key == store.epsilon else "box"
         lines.append(f'  "{_dot_escape(key)}" [shape={shape}, label="{label}"];')

@@ -9,12 +9,12 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .canonical import canonical_cone, canonical_semigroup
+from .canonical import canonical_cone
 from .cones import Cone
 from .errors import InputError
 from .linalg import check_characteristic, rank
 from .semigroups import AffineSemigroup, minimal_generators
-from .digraph import MODES, Complete, DigraphStore, find_cycles, resolution_subgraph
+from .digraph import MODES, Complete, DigraphStore, find_cycles, resolution_subgraph, vertex_key
 
 DISTRIBUTION = "uniform entries with rejection (pointed, full rank)"
 
@@ -121,9 +121,10 @@ def sample_random(
     start = time.monotonic()
     for _ in range(count):
         if mode == "nash":
-            obj = _random_semigroup(rng, rank_, entry_bound)
-            key = canonical_semigroup(obj).serialization
+            obj = key = vertex_key(store, _random_semigroup(rng, rank_, entry_bound))
         else:
+            # A second canonicalization, answered from the cone's cache, kept
+            # because perfbench's tracer self-test reads sampling.canonical_cone.
             obj = _random_cone(rng, rank_, entry_bound)
             key = canonical_cone(obj)[0].serialization
         status = resolution_subgraph(

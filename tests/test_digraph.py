@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from nashtoric import (
     AffineSemigroup,
     BudgetExhausted,
+    CanonicalKey,
     Complete,
     Cone,
     DigraphStore,
@@ -16,6 +18,7 @@ from nashtoric import (
     expand,
     export_dot,
     find_cycles,
+    reeves_cone,
     resolution_subgraph,
 )
 from nashtoric.digraph import _sccs, vertex_key
@@ -33,13 +36,13 @@ class TestStoreBasics:
     def test_epsilon_seeded_with_loop(self):
         st = DigraphStore("normalized", 0, 3)
         eps = st.epsilon
-        assert st.vertices[eps] == IntMatrix.identity(3)
+        assert CanonicalKey.parse(eps).matrix == IntMatrix.identity(3)
         assert (eps, eps) in st.edges
 
     def test_nash_epsilon(self):
         st = DigraphStore("nash", 0, 2)
         assert (st.epsilon, st.epsilon) in st.edges
-        assert sorted(st.vertices[st.epsilon].columns()) == [(0, 1), (1, 0)]
+        assert sorted(CanonicalKey.parse(st.epsilon).matrix.columns()) == [(0, 1), (1, 0)]
 
     def test_bad_meta(self):
         with pytest.raises(StoreError):
@@ -71,7 +74,7 @@ class TestExpand:
         st = DigraphStore("normalized", 0, 4)
         B = Cone(LOOP4_COLS)
         kids = expand(st, B)
-        key = vertex_key(st, B)[0]
+        key = vertex_key(st, B)
         assert key in kids
         assert (key, key) in st.edges
 
@@ -190,7 +193,7 @@ class TestFindCycles:
         st = DigraphStore("normalized", 0, 4)
         B = Cone(LOOP4_COLS)
         expand(st, B)
-        key = vertex_key(st, B)[0]
+        key = vertex_key(st, B)
         cycles = find_cycles(st)
         assert [key] in cycles
         assert all(len(c) == 1 for c in cycles)
@@ -198,7 +201,7 @@ class TestFindCycles:
     def test_nash_two_cycle(self):
         st = DigraphStore("nash", 0, 3)
         S = AffineSemigroup(CYCLE2_COLS, assume_minimal=True)
-        key = vertex_key(st, S)[0]
+        key = vertex_key(st, S)
         frontier = [key]
         expand(st, S)
         for _ in range(2):
@@ -301,10 +304,20 @@ class TestPersistence:
         resolution_subgraph(a, Cone([(1, 0), (3, 5)]))
         b = DigraphStore("normalized", 0, 2)
         resolution_subgraph(b, Cone([(1, 0), (2, 5)]))
-        av, ae = dict(a.vertices), set(a.edges)
+        av, ae = set(a.vertices), set(a.edges)
         a.merge(b)
-        assert set(a.vertices) == set(av) | set(b.vertices)
+        assert set(a.vertices) == av | set(b.vertices)
         assert a.edges == ae | b.edges
+
+    def test_merge_keeps_the_other_stores_expansions(self, chi_cone):
+        a = DigraphStore("normalized", 0, 2)
+        key = vertex_key(a, chi_cone)
+        b = DigraphStore("normalized", 0, 2)
+        expand(b, chi_cone)
+        assert not a.is_expanded(key) and b.is_expanded(key)
+        a.merge(b)
+        assert a.is_expanded(key)
+        assert a.children_of(key) == b.children_of(key)
 
     def test_merge_meta_mismatch(self):
         a = DigraphStore("normalized", 0, 2)
@@ -340,6 +353,15 @@ class TestPersistence:
         with pytest.raises(StoreError, match="does not serialize"):
             st.add_vertex("2 x 2: 1,1,0,3", IntMatrix([[8, 1], [0, 3]]))
         assert "2 x 2: 1,1,0,3" not in st.vertices
+
+    def test_stored_key_with_wrong_payload(self, chi_cone):
+        st = DigraphStore("normalized", 0, 2)
+        resolution_subgraph(st, chi_cone)
+        key = vertex_key(st, chi_cone)
+        before = (set(st.vertices), st.edges)
+        with pytest.raises(StoreError, match="does not serialize"):
+            st.add_vertex(key, IntMatrix([[8, 1], [0, 3]]))
+        assert (set(st.vertices), st.edges) == before
 
     @pytest.mark.parametrize("first", [1, 2])
     def test_first_record_must_be_meta(self, tmp_path, first):
@@ -419,3 +441,37 @@ class TestExportDot:
         resolution_subgraph(st, chi_cone)
         assert export_dot(st) == export_dot(st)
         assert export_dot(st).count("->") == st.edge_count()
+
+
+class TestBytePins:
+    """sha256 of the saved store and of its DOT text, for one normalized
+    and one Nash store: a change to how a store holds or writes its
+    vertices must leave both byte-identical."""
+
+    @staticmethod
+    def _digests(st, tmp_path):
+        path = tmp_path / "s.jsonl"
+        st.save(path)
+        return (
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(export_dot(st).encode()).hexdigest(),
+        )
+
+    def test_normalized_reeves_3_5(self, tmp_path):
+        st = DigraphStore("normalized", 0, 3)
+        assert resolution_subgraph(st, reeves_cone(3, 5)) == Complete(7, 12)
+        assert self._digests(st, tmp_path) == (
+            "5bbbfb5b7296ef3294fba0a02a0fefbd97d37239e980d06d23f192da32574798",
+            "935d4e291922673b48f014ba02b21278097852e2721a1ce361757a729be8fbec",
+        )
+
+    def test_nash_cycle2_under_budget(self, tmp_path):
+        st = DigraphStore("nash", 0, 3)
+        S = AffineSemigroup(CYCLE2_COLS, assume_minimal=True)
+        status = resolution_subgraph(st, S, max_vertices=20)
+        assert isinstance(status, BudgetExhausted)
+        assert (status.vertex_count, status.edge_count) == (39, 59)
+        assert self._digests(st, tmp_path) == (
+            "aefb5a459e7c4e409f53f70cc06e8a82d452e73eb8cabc831e2d8bf4b9bb3725",
+            "bc068b294e1b98c721960a4625086aba5ef9fb0d351cc6460d372b57cf7bbb34",
+        )
