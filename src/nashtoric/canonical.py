@@ -55,8 +55,17 @@ class CanonicalKey:
 
     @classmethod
     def from_matrix(cls, M: IntMatrix) -> "CanonicalKey":
-        body = ",".join(str(x) for row in M.data for x in row)
+        body = ",".join([str(x) for row in M.data for x in row])
         return cls(M, f"{M.rows} x {M.cols}: {body}")
+
+    @staticmethod
+    def json_rows(text: str) -> str:
+        """The rows that canonical key text spells out, as json.dumps writes
+        them: "2 x 2: 1,0,0,1" gives "[[1, 0], [0, 1]]".  Nothing is checked."""
+        head, body = text.split(": ", 1)
+        c, entries = int(head.partition(" x ")[2]), body.split(",")
+        rows = [", ".join(entries[i : i + c]) for i in range(0, len(entries), c)]
+        return f"[[{'], ['.join(rows)}]]"
 
     @classmethod
     def parse(cls, text: str) -> "CanonicalKey":

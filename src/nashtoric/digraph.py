@@ -1,8 +1,8 @@
 """Persistent partial knowledge of the Nash and normalized Nash digraphs.
 
 A store holds each vertex once, as its canonical key, and the directed
-child edges.  A key spells out its canonical payload matrix, which
-CanonicalKey.parse reads back only to expand, save or draw a vertex.
+child edges.  A key spells out its canonical payload matrix: save and
+export_dot copy it from the key text, and only an expansion parses it.
 Exploration is the breadth-first resolution subgraph: expand a vertex,
 record its children, stop when the reachable closure is complete or when
 a budget runs out.  Stores round-trip through a JSON-lines file, which
@@ -25,6 +25,7 @@ from .semigroups import AffineSemigroup
 
 STORE_VERSION = 1
 MODES = ("nash", "normalized")
+_decode = json.JSONDecoder().decode
 
 
 def _vertex(mode: str, payload: IntMatrix):
@@ -124,19 +125,24 @@ class DigraphStore:
     # -- persistence -------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the store as JSON lines.  The lines go to a temporary file
-        beside path that then replaces it, so a save that fails partway
-        leaves any earlier file at path as it was."""
+        """Write the store as JSON lines copied from the checked key texts,
+        which hold no character that JSON escapes.  The lines stream to a
+        temporary file that then replaces path, so a failed save leaves any
+        earlier file at path as it was."""
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        keys = sorted(self._out)
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(self.meta) + "\n")
-                for key in sorted(self.vertices):
-                    matrix = CanonicalKey.parse(key).matrix.to_lists()
-                    record = {"kind": "vertex", "key": key, "matrix": matrix}
-                    fh.write(json.dumps(record) + "\n")
-                for src, dst in sorted(self.edges):
-                    fh.write(json.dumps({"kind": "edge", "from": src, "to": dst}) + "\n")
+                fh.writelines(
+                    f'{{"kind": "vertex", "key": "{key}", '
+                    f'"matrix": {CanonicalKey.json_rows(key)}}}\n'
+                    for key in keys
+                )
+                fh.writelines(
+                    f'{{"kind": "edge", "from": "{src}", "to": "{dst}"}}\n'
+                    for src in keys for dst in self.children_of(src)
+                )
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -153,12 +159,11 @@ class DigraphStore:
         own line, so an error names the line that raised it."""
         store: DigraphStore | None = None
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
+            for lineno, line in enumerate(fh, start=1):
+                if line.isspace():
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec = _decode(line)
                     kind = rec["kind"]
                     if kind == "meta":
                         if rec["version"] != STORE_VERSION:
@@ -388,14 +393,14 @@ def export_dot(store: DigraphStore) -> str:
     """Deterministic DOT rendering; the unimodular vertex is a double
     circle, every other vertex a box labeled with its payload matrix."""
     lines = ["digraph nash {"]
-    for key in sorted(store.vertices):
-        label = CanonicalKey.parse(key).matrix.to_lists()
-        label = json.dumps(label, separators=(",", ""))
-        label = label.replace('"', '\\"')
+    keys = sorted(store.vertices)
+    for key in keys:
+        label = CanonicalKey.json_rows(key).replace(" ", "")
         shape = "doublecircle" if key == store.epsilon else "box"
         lines.append(f'  "{_dot_escape(key)}" [shape={shape}, label="{label}"];')
-    for src, dst in sorted(store.edges):
-        lines.append(f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}";')
+    for src in keys:
+        for dst in store.children_of(src):
+            lines.append(f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

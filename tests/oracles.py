@@ -9,6 +9,7 @@ blowup.  None of them imports the package.
 """
 
 import itertools
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -387,6 +388,19 @@ def sccs_by_closure(vertices, edges):
             if k in reach[v]:
                 reach[v] |= reach[k]
     return {frozenset(w for w in vs if w in reach[v] and v in reach[w]) for v in vs}
+
+
+def store_lines_by_json(meta, vertex_matrices, edges):
+    """The lines of a saved store, one json.dumps per record: the meta
+    record, then each vertex (its key and its matrix as lists of rows) in
+    sorted key order, then each (source, target) edge in sorted order."""
+    lines = [json.dumps(meta) + "\n"]
+    for key in sorted(vertex_matrices):
+        record = {"kind": "vertex", "key": key, "matrix": vertex_matrices[key]}
+        lines.append(json.dumps(record) + "\n")
+    for src, dst in sorted(edges):
+        lines.append(json.dumps({"kind": "edge", "from": src, "to": dst}) + "\n")
+    return lines
 
 
 def _columns_matrix(cols):

@@ -24,7 +24,7 @@ from nashtoric import (
 from nashtoric.digraph import _sccs, vertex_key
 
 from conftest import CYCLE2_COLS, LOOP4_COLS
-from oracles import all_simple_cycles, sccs_by_closure
+from oracles import all_simple_cycles, sccs_by_closure, store_lines_by_json
 
 
 @pytest.fixture
@@ -303,8 +303,10 @@ class TestPersistence:
         a = DigraphStore("normalized", 0, 2)
         resolution_subgraph(a, Cone([(1, 0), (3, 5)]))
         b = DigraphStore("normalized", 0, 2)
-        resolution_subgraph(b, Cone([(1, 0), (2, 5)]))
+        resolution_subgraph(b, Cone([(1, 0), (2, 7)]))
         av, ae = set(a.vertices), set(a.edges)
+        # b holds vertices and edges that a lacks, so dropping them fails.
+        assert set(b.vertices) - av and b.edges - ae
         a.merge(b)
         assert set(a.vertices) == av | set(b.vertices)
         assert a.edges == ae | b.edges
@@ -389,6 +391,31 @@ class TestPersistence:
         with pytest.raises(StoreError, match=r"s\.jsonl: line 4: "):
             DigraphStore.load(path)
 
+    _GOOD = '{"kind": "vertex", "key": "2 x 2: 1,1,0,3", "matrix": [[1, 1], [0, 3]]}'
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            _GOOD.replace("[[1, 1]", "[[1.0, 1]"),
+            _GOOD.replace("[[1, 1]", '[["1", 1]'),
+            _GOOD.replace("[0, 3]]", "[0]]"),
+            _GOOD.replace("[[1, 1], [0, 3]]", "[]"),
+            _GOOD.replace("2 x 2: ", "2 x 2:  "),
+            _GOOD + "}",
+        ],
+        ids=["float", "string", "ragged", "empty", "key-space", "trailing-brace"],
+    )
+    def test_malformed_vertex_record_names_its_line(self, tmp_path, record):
+        st = DigraphStore("normalized", 0, 2)
+        path = tmp_path / "s.jsonl"
+        st.save(path)
+        saved = path.read_text()
+        path.write_text(saved + self._GOOD + "\n")
+        assert "2 x 2: 1,1,0,3" in DigraphStore.load(path).vertices
+        path.write_text(saved + record + "\n")
+        with pytest.raises(StoreError, match=r"s\.jsonl: line 4: "):
+            DigraphStore.load(path)
+
     def test_field_names_bit_exact(self, tmp_path):
         st = DigraphStore("nash", 0, 1)
         path = tmp_path / "s.jsonl"
@@ -411,19 +438,22 @@ class TestPersistence:
         st.save(path)
         before = path.read_bytes()
         resolution_subgraph(st, chi_cone)
-        to_lists = IntMatrix.to_lists
+        json_rows = CanonicalKey.json_rows
         calls = []
 
-        def fail_after_first(self):
-            calls.append(self)
+        def fail_after_first(key):
+            # The second vertex line: the first one is already written to
+            # the temporary file.
+            calls.append(sorted(f.name for f in tmp_path.iterdir()))
             if len(calls) > 1:
                 raise RuntimeError("disk gone")
-            return to_lists(self)
+            return json_rows(key)
 
-        monkeypatch.setattr(IntMatrix, "to_lists", fail_after_first)
+        monkeypatch.setattr(CanonicalKey, "json_rows", staticmethod(fail_after_first))
         with pytest.raises(RuntimeError, match="disk gone"):
             st.save(path)
         assert len(calls) == 2
+        assert len(calls[1]) == 2 and calls[1][1].endswith(".tmp")
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["store.jsonl"]
 
@@ -475,3 +505,75 @@ class TestBytePins:
             "aefb5a459e7c4e409f53f70cc06e8a82d452e73eb8cabc831e2d8bf4b9bb3725",
             "bc068b294e1b98c721960a4625086aba5ef9fb0d351cc6460d372b57cf7bbb34",
         )
+
+
+def _explored(mode, p, rank, starts, max_vertices=10**6):
+    st = DigraphStore(mode, p, rank)
+    for start in starts:
+        resolution_subgraph(st, start, max_vertices=max_vertices)
+    return st
+
+
+_WRITER_CASES = {
+    "nash-1": lambda: DigraphStore("nash", 0, 1),
+    "normalized-1": lambda: DigraphStore("normalized", 0, 1),
+    "nash-2": lambda: _explored(
+        "nash", 0, 2, [AffineSemigroup([(1, 0), (1, 1), (1, 2), (3, 7)])], 10
+    ),
+    "normalized-2": lambda: _explored("normalized", 0, 2, [Cone([(1, 0), (3, 5)])]),
+    "nash-3-cycle2": lambda: _explored(
+        "nash", 0, 3, [AffineSemigroup(CYCLE2_COLS, assume_minimal=True)], 20
+    ),
+    "normalized-3-reeves": lambda: _explored(
+        "normalized", 0, 3, [reeves_cone(3, j) for j in (5, 7, 12)]
+    ),
+    "nash-4": lambda: _explored("nash", 0, 4, [AffineSemigroup(LOOP4_COLS)], 3),
+    "normalized-4-loop4-p3": lambda: _explored("normalized", 3, 4, [Cone(LOOP4_COLS)]),
+}
+
+
+@pytest.fixture(scope="module")
+def writer_stores():
+    return {name: build() for name, build in _WRITER_CASES.items()}
+
+
+def _oracle_bytes(st):
+    matrices = {k: CanonicalKey.parse(k).matrix.to_lists() for k in st.vertices}
+    return "".join(store_lines_by_json(st.meta, matrices, st.edges)).encode()
+
+
+class TestWriterAgainstJson:
+    """save writes each line from the key text; the oracle writes one
+    json.dumps per record from the parsed matrices."""
+
+    @pytest.mark.parametrize("name", sorted(_WRITER_CASES))
+    def test_saved_bytes_match_oracle(self, tmp_path, writer_stores, name):
+        st = writer_stores[name]
+        path = tmp_path / "s.jsonl"
+        st.save(path)
+        assert path.read_bytes() == _oracle_bytes(st)
+
+    def test_cases_cover_signs_and_widths(self, writer_stores):
+        entries = {
+            int(x)
+            for st in writer_stores.values()
+            for key in st.vertices
+            for x in key.split(": ")[1].split(",")
+        }
+        assert min(entries) < 0 and max(entries) >= 10
+        assert {st.rank for st in writer_stores.values()} == {1, 2, 3, 4}
+
+    def test_concatenated_saves_load_to_the_union(self, tmp_path):
+        a = _explored("normalized", 0, 3, [reeves_cone(3, 7)])
+        b = _explored("normalized", 0, 3, [reeves_cone(3, 12)])
+        assert set(b.vertices) - set(a.vertices)
+        pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.save(pa)
+        b.save(pb)
+        both = tmp_path / "both.jsonl"
+        both.write_bytes(pa.read_bytes() + pb.read_bytes())
+        loaded = DigraphStore.load(both)
+        a.merge(b)
+        assert loaded.vertices == a.vertices and loaded.edges == a.edges
+        loaded.save(both)
+        assert both.read_bytes() == _oracle_bytes(a)
