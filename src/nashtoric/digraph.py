@@ -59,11 +59,9 @@ class DigraphStore:
         self.mode = mode
         self.characteristic = check_characteristic(characteristic)
         self.rank = rank
-        self._out: dict[str, set[str]] = {}
-        eps = epsilon_key(mode, rank)
-        self.add_vertex(eps.serialization, eps.matrix)
-        self.add_edge(eps.serialization, eps.serialization)
-        self.epsilon = eps.serialization
+        eps = epsilon_key(mode, rank).serialization
+        self._out: dict[str, set[str]] = {eps: {eps}}
+        self.epsilon = eps
 
     @property
     def meta(self) -> dict:
@@ -86,6 +84,9 @@ class DigraphStore:
         return frozenset((s, d) for s, dsts in self._out.items() for d in dsts)
 
     def add_vertex(self, key: str, matrix: IntMatrix) -> None:
+        """Add a vertex given from outside, after checking that its payload
+        has the store's rank and that key serializes it.  The package's own
+        keys, just serialized, go into _out directly."""
         if matrix.rows != self.rank:
             raise StoreError(
                 f"payload has {matrix.rows} rows, store rank is {self.rank}"
@@ -118,7 +119,7 @@ class DigraphStore:
             other.rank,
         ):
             raise StoreError("cannot merge stores with different metadata")
-        # Each key of other passed add_vertex under the same rank.
+        # Each key of other was checked or serialized under the same rank.
         for key, dsts in other._out.items():
             self._out.setdefault(key, set()).update(dsts)
 
@@ -182,14 +183,17 @@ class DigraphStore:
                     elif store is None:
                         raise StoreError("the first record must be a meta line")
                     elif kind == "vertex":
-                        store.add_vertex(rec["key"], IntMatrix(rec["matrix"]))
+                        rows = rec["matrix"]
+                        if any(type(x) is not int for row in rows for x in row):
+                            raise StoreError("matrix entries must be integers")
+                        store.add_vertex(rec["key"], IntMatrix(rows))
                     elif kind == "edge":
                         store.add_edge(rec["from"], rec["to"])
                     else:
                         raise StoreError(f"unknown record kind {kind!r}")
                 except StoreError as exc:
                     raise StoreError(f"{path}: line {lineno}: {exc}") from None
-                except (KeyError, ValueError, TypeError, InputError) as exc:
+                except (KeyError, ValueError, TypeError) as exc:
                     raise StoreError(
                         f"{path}: line {lineno}: malformed record ({exc})"
                     ) from None
@@ -198,26 +202,21 @@ class DigraphStore:
         return store
 
 
-def _compute_children(store: DigraphStore, key: str) -> list[tuple[str, IntMatrix]]:
-    """Children of a stored key as sorted (key, payload) pairs, from the
-    payload that the key spells out; the store itself is not changed.  No
-    smoothness test: every unimodular child's key is byte-equal to the
-    store's epsilon, and in normalized mode normalized_nash_children has
-    cached every child's key."""
+def _compute_children(store: DigraphStore, key: str) -> tuple[str, ...]:
+    """The sorted child keys of a stored key, from the payload that the key
+    spells out; the store itself is not changed.  No smoothness test: every
+    unimodular child's key is byte-equal to the store's epsilon, and in
+    normalized mode normalized_nash_children has cached every child's key."""
     step = nash_children if store.mode == "nash" else normalized_nash_children
     matrix = CanonicalKey.parse(key).matrix
     kids = step(_vertex(store.mode, matrix), store.characteristic)
-    out: dict[str, IntMatrix] = {}
-    for child in kids:
-        k = _key(child)
-        out.setdefault(k.serialization, k.matrix)
-    return sorted(out.items())
+    return tuple(sorted({_key(child).serialization for child in kids}))
 
 
 def vertex_key(store: DigraphStore, obj) -> str:
     """The stored key of a key, cone or semigroup.  A key must already be
     stored, and nothing is parsed; a cone or semigroup is canonicalized
-    and added to the store."""
+    and its key added to the store."""
     if isinstance(obj, str):
         if obj not in store._out:
             raise StoreError(f"unknown vertex key {obj!r}")
@@ -227,9 +226,9 @@ def vertex_key(store: DigraphStore, obj) -> str:
         raise StoreError(f"{store.mode}-mode vertices are {kind.__name__} objects")
     if obj.ambient_rank != store.rank:
         raise StoreError("ambient rank does not match the store")
-    key = _key(obj)
-    store.add_vertex(key.serialization, key.matrix)
-    return key.serialization
+    key = _key(obj).serialization
+    store._out.setdefault(key, set())
+    return key
 
 
 def expand(store: DigraphStore, vertex):
@@ -240,10 +239,10 @@ def expand(store: DigraphStore, vertex):
     if store.is_expanded(key):
         return store.children_of(key)
     children = _compute_children(store, key)
-    for child_key, child_matrix in children:
-        store.add_vertex(child_key, child_matrix)
-        store.add_edge(key, child_key)
-    return tuple(k for k, _ in children)
+    for child in children:
+        store._out.setdefault(child, set())
+    store._out[key].update(children)
+    return children
 
 
 @dataclass(frozen=True)
@@ -353,57 +352,40 @@ def find_cycles(store: DigraphStore, max_report: int | None = None):
     for scc in sorted(sccs):
         if max_report is not None and len(cycles) >= max_report:
             break
-        members = set(scc)
-        if len(scc) == 1:
-            v = scc[0]
-            if v == store.epsilon or v not in store._out[v]:
-                continue
-            cycles.append([v])
+        if scc == [store.epsilon]:
             continue
         # Shortest cycle through the smallest vertex, deterministic BFS.
+        members = set(scc)
         source = scc[0]
-        if source in store._out[source]:
-            cycles.append([source])
-            continue
-        parent: dict[str, str] = {}
-        frontier = deque()
-        for w in store.children_of(source):
-            if w in members and w != source:
-                parent.setdefault(w, source)
-                frontier.append(w)
-        found = None
-        while frontier and found is None:
-            v = frontier.popleft()
+        parent = {source: source}
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            if source in store._out[v]:
+                path = [v]
+                while path[-1] != source:
+                    path.append(parent[path[-1]])
+                cycles.append(path[::-1])
+                break
             for w in store.children_of(v):
-                if w == source:
-                    path = [v]
-                    while path[-1] != source:
-                        path.append(parent[path[-1]])
-                    found = list(reversed(path))
-                    break
                 if w in members and w not in parent:
                     parent[w] = v
-                    frontier.append(w)
-        if found:
-            cycles.append(found)
+                    queue.append(w)
     return cycles
 
 
 def export_dot(store: DigraphStore) -> str:
     """Deterministic DOT rendering; the unimodular vertex is a double
-    circle, every other vertex a box labeled with its payload matrix."""
+    circle, every other vertex a box labeled with its payload matrix.
+    Stored keys are checked canonical text, with nothing for DOT to escape."""
     lines = ["digraph nash {"]
     keys = sorted(store.vertices)
     for key in keys:
         label = CanonicalKey.json_rows(key).replace(" ", "")
         shape = "doublecircle" if key == store.epsilon else "box"
-        lines.append(f'  "{_dot_escape(key)}" [shape={shape}, label="{label}"];')
+        lines.append(f'  "{key}" [shape={shape}, label="{label}"];')
     for src in keys:
         for dst in store.children_of(src):
-            lines.append(f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}";')
+            lines.append(f'  "{src}" -> "{dst}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _dot_escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"')

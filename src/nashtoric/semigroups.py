@@ -4,7 +4,8 @@ hilbert_basis computes the minimal generating set of C n Z^n for a pointed
 full-dimensional cone C by the primal method: a placing triangulation into
 simplicial subcones, enumeration of the fundamental parallelepiped of each
 subcone through column-HNF residues, and a single graded reduction pass to
-the indecomposable elements.
+the indecomposable elements.  The same reduction, with the membership
+search as its test, gives the minimal generators of any pointed semigroup.
 
 Non-saturated semigroups are represented by their minimal generating set.
 Membership, for every rank, is one memoized depth-first search on facet
@@ -14,7 +15,7 @@ whose grade is at most its own.
 
 import itertools
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from operator import sub
 
@@ -94,25 +95,30 @@ def _parallelepiped_points(cols: Sequence[Vector]) -> list[Vector]:
 
 
 def drop_dominated(
-    points: Iterable[Vector], facets: Sequence[Vector]
+    points: Iterable[Vector],
+    facets: Sequence[Vector],
+    member: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> tuple[Vector, ...]:
-    """The points that dominate no other kept point, sorted.
+    """The points that no kept point of smaller grade reduces, sorted.
 
-    q is dominated by p when every facet value of q is at least that of p,
-    i.e. q - p lies in the cone {x : f . x >= 0 for every facet f}.  Points
-    are taken by increasing sum of facet values, so each dominated point
-    meets a kept point that it dominates.  On candidates that generate
-    C n Z^n, with the facets of C, the kept points are the indecomposable
-    ones, the Hilbert basis."""
+    Points are taken by increasing grade, the sum of their facet values; a
+    kept p reduces q when the facet values of q - p are all >= 0 and member,
+    if given, accepts them.  Kept points suffice: if q = x + y in the
+    semigroup, x is a sum of kept points, and q minus any one of them is in
+    the semigroup.  With the facets of C and no member, candidates that
+    generate C n Z^n reduce to its Hilbert basis."""
     evals = {pt: tuple(dot(f, pt) for f in facets) for pt in points}
     kept: list[Vector] = []
     kept_evals: list[tuple[int, ...]] = []
     for pt in sorted(evals, key=lambda pt: (sum(evals[pt]), pt)):
         ev = evals[pt]
-        if any(all(a >= b for a, b in zip(ev, qe)) for qe in kept_evals):
-            continue
-        kept.append(pt)
-        kept_evals.append(ev)
+        for qe in kept_evals:
+            diff = tuple(map(sub, ev, qe))
+            if min(diff) >= 0 and (member is None or member(diff)):
+                break
+        else:
+            kept.append(pt)
+            kept_evals.append(ev)
     return tuple(sorted(kept))
 
 
@@ -290,32 +296,14 @@ def semigroup_member(S, v: Sequence[int]) -> bool:
 
 def _minimalize(gens: tuple[Vector, ...], hull: Cone | None = None) -> tuple[Vector, ...]:
     """Indecomposable elements of the semigroup generated by gens, which
-    form its unique minimal generating set (grade induction: a sum of two
-    nonzero elements always splits off a generator of strictly smaller
-    grade)."""
+    form its unique minimal generating set: drop_dominated over the hull's
+    inequality rows, with the membership search as its test."""
     if hull is None:
         hull = Cone(gens)
     if not hull.is_pointed():
         raise NotPointedError("generators span a non-pointed cone")
-    solver = _MembershipSolver(gens, hull.inequality_rows())
-    evals = {g: solver.eval_point(g) for g in gens}
-    order = sorted(gens, key=lambda g: (sum(evals[g]), g))
-    kept = []
-    for g in order:
-        gv = evals[g]
-        grade = sum(gv)
-        redundant = False
-        for h in order:
-            hv = evals[h]
-            if sum(hv) >= grade:
-                break
-            diff = tuple(a - b for a, b in zip(gv, hv))
-            if min(diff) >= 0 and solver.member_evals(diff):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(g)
-    return tuple(sorted(kept))
+    rows = hull.inequality_rows()
+    return drop_dominated(gens, rows, _MembershipSolver(gens, rows).member_evals)
 
 
 def _full_rank_generators(G: Iterable[Sequence[int]]) -> tuple[Vector, ...]:

@@ -390,6 +390,23 @@ def sccs_by_closure(vertices, edges):
     return {frozenset(w for w in vs if w in reach[v] and v in reach[w]) for v in vs}
 
 
+def shortest_cycle_through(edges, v):
+    """Length of a shortest directed cycle through v, or None: breadth-first
+    distances from v over edges, closed by an edge back into v."""
+    dist = {v: 0}
+    layer = [v]
+    while layer:
+        if any((w, v) in edges for w in layer):
+            return dist[layer[0]] + 1
+        nxt = []
+        for a, w in sorted(edges):
+            if a in layer and w not in dist:
+                dist[w] = dist[a] + 1
+                nxt.append(w)
+        layer = nxt
+    return None
+
+
 def store_lines_by_json(meta, vertex_matrices, edges):
     """The lines of a saved store, one json.dumps per record: the meta
     record, then each vertex (its key and its matrix as lists of rows) in

@@ -24,7 +24,12 @@ from nashtoric import (
 from nashtoric.digraph import _sccs, vertex_key
 
 from conftest import CYCLE2_COLS, LOOP4_COLS
-from oracles import all_simple_cycles, sccs_by_closure, store_lines_by_json
+from oracles import (
+    all_simple_cycles,
+    sccs_by_closure,
+    shortest_cycle_through,
+    store_lines_by_json,
+)
 
 
 @pytest.fixture
@@ -254,6 +259,36 @@ class TestFindCycles:
         expand(st, Cone(LOOP4_COLS))
         assert find_cycles(st, max_report=0) == []
 
+    def test_one_shortest_cycle_per_component_on_random_stores(self):
+        rng = random.Random(47)
+        keys = [canonical_cone(Cone([(1, 0), (1, i)]))[0] for i in range(2, 10)]
+        names = [k.serialization for k in keys]
+        for _ in range(300):
+            st = DigraphStore("normalized", 0, 2)
+            vertices = rng.sample(names, rng.randint(1, len(names)))
+            for k in keys:
+                if k.serialization in vertices:
+                    st.add_vertex(k.serialization, k.matrix)
+            density = rng.random() * 0.4
+            targets = vertices + [st.epsilon]
+            for a in vertices:
+                for b in targets:
+                    if rng.random() < density:
+                        st.add_edge(a, b)
+            edges = set(st.edges)
+            cycles = find_cycles(st)
+            expected = {}
+            for scc in sccs_by_closure(set(st.vertices), edges):
+                v = min(scc)
+                if v != st.epsilon and (len(scc) > 1 or (v, v) in edges):
+                    expected[v] = (scc, shortest_cycle_through(edges, v))
+            assert sorted(c[0] for c in cycles) == sorted(expected)
+            for cyc in cycles:
+                scc, length = expected[cyc[0]]
+                assert len(cyc) == length and set(cyc) <= scc
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    assert (a, b) in edges
+
 
 class TestSccs:
     def test_against_closure_oracle(self):
@@ -402,8 +437,9 @@ class TestPersistence:
             _GOOD.replace("[[1, 1], [0, 3]]", "[]"),
             _GOOD.replace("2 x 2: ", "2 x 2:  "),
             _GOOD + "}",
+            _GOOD.replace("[[1, 1], [0, 3]]", "[[true, 1], [false, 3]]"),
         ],
-        ids=["float", "string", "ragged", "empty", "key-space", "trailing-brace"],
+        ids=["float", "string", "ragged", "empty", "key-space", "trailing-brace", "bool"],
     )
     def test_malformed_vertex_record_names_its_line(self, tmp_path, record):
         st = DigraphStore("normalized", 0, 2)
