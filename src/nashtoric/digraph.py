@@ -3,11 +3,12 @@
 A store holds each vertex once, as its canonical key, and the directed
 child edges.  A key spells out its canonical payload matrix: save and
 export_dot copy it from the key text, and only an expansion parses it.
-Exploration is the breadth-first resolution subgraph: expand a vertex,
-record its children, stop when the reachable closure is complete or when
-a budget runs out.  Stores round-trip through a JSON-lines file, which
-load reads in one pass in file order, and merge by set union when their
-metadata agree.
+Exploration is the breadth-first resolution subgraph, one level at a
+time: expand the level's vertices, on worker processes if asked, record
+their children in BFS order, and stop when the reachable closure is
+complete or when a budget runs out.  Stores round-trip through a
+JSON-lines file, which load reads in one pass in file order, and merge by
+set union when their metadata agree.
 """
 
 import json
@@ -202,15 +203,24 @@ class DigraphStore:
         return store
 
 
-def _compute_children(store: DigraphStore, key: str) -> tuple[str, ...]:
-    """The sorted child keys of a stored key, from the payload that the key
-    spells out; the store itself is not changed.  No smoothness test: every
-    unimodular child's key is byte-equal to the store's epsilon, and in
-    normalized mode normalized_nash_children has cached every child's key."""
-    step = nash_children if store.mode == "nash" else normalized_nash_children
+def _compute_children(mode: str, characteristic: int, key: str) -> tuple[str, ...]:
+    """The sorted child keys of a vertex key, from the payload that the key
+    spells out.  It reads no store, so a worker process receives the three
+    arguments alone.  No smoothness test: every unimodular child's key is
+    byte-equal to the store's epsilon, and in normalized mode
+    normalized_nash_children has cached every child's key."""
+    step = nash_children if mode == "nash" else normalized_nash_children
     matrix = CanonicalKey.parse(key).matrix
-    kids = step(_vertex(store.mode, matrix), store.characteristic)
+    kids = step(_vertex(mode, matrix), characteristic)
     return tuple(sorted({_key(child).serialization for child in kids}))
+
+
+def _children_task(task: tuple[str, int, str]) -> tuple[str, ...]:
+    """_compute_children of a (mode, characteristic, key) task.  A pool
+    pickles the function it maps by name, and this one is never rebound,
+    whereas a profiler may wrap _compute_children; the module global is
+    looked up where the task runs."""
+    return _compute_children(*task)
 
 
 def vertex_key(store: DigraphStore, obj) -> str:
@@ -231,6 +241,14 @@ def vertex_key(store: DigraphStore, obj) -> str:
     return key
 
 
+def _record(store: DigraphStore, key: str, children: tuple[str, ...]):
+    """Store the computed children of key and return them."""
+    for child in children:
+        store._out.setdefault(child, set())
+    store._out[key].update(children)
+    return children
+
+
 def expand(store: DigraphStore, vertex):
     """Compute (or look up) the children of a stored key, cone or semigroup,
     record them in the store, and return the sorted child keys.  Epsilon
@@ -238,11 +256,7 @@ def expand(store: DigraphStore, vertex):
     key = vertex_key(store, vertex)
     if store.is_expanded(key):
         return store.children_of(key)
-    children = _compute_children(store, key)
-    for child in children:
-        store._out.setdefault(child, set())
-    store._out[key].update(children)
-    return children
+    return _record(store, key, _compute_children(store.mode, store.characteristic, key))
 
 
 @dataclass(frozen=True)
@@ -262,6 +276,48 @@ class BudgetExhausted:
     edge_count: int
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+class _Workers:
+    """Where the expansions of a level run.  map is the builtin map for one
+    worker or fewer than two tasks; otherwise it is the imap of a fork pool,
+    started at the first such call and ended on exit, so that no worker
+    outlives the with block.  The pool has `processes` workers, but never
+    more than this process has CPUs.  imap yields results in task order and
+    raises a task's exception at its place in that order.  A worker reads
+    the package's module globals, such as the search and basis caps, as
+    they stood when the pool started."""
+
+    def __init__(self, processes: int):
+        self.processes = min(processes, _cpu_count())
+        self._pool = None
+
+    def map(self, fn, tasks: list):
+        if self.processes == 1 or len(tasks) < 2:
+            return map(fn, tasks)
+        if self._pool is None:
+            # Imported here: a run that never starts a pool skips its cost.
+            import multiprocessing
+
+            self._pool = multiprocessing.get_context("fork").Pool(self.processes)
+        return self._pool.imap(fn, tasks)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+        return False
+
+
 def resolution_subgraph(
     store: DigraphStore,
     start,
@@ -271,31 +327,60 @@ def resolution_subgraph(
     threads: int = 1,
 ):
     """Breadth-first expansion of all descendants of start (Algorithm-1
-    style): dequeue, skip vertices whose children are already recorded,
-    otherwise expand and enqueue the children not seen before.
+    style), one level at a time.  The keys of a level whose children are not
+    yet recorded are expanded; then the level is walked in BFS order, each
+    new key's children are recorded, and the children not seen before make
+    up the next level.  A level is cut to the remaining max_vertices budget,
+    which counts every key taken from the queue, and max_seconds is checked
+    before each key of the walk.
+
+    threads is the number of worker processes, capped at the CPUs this
+    process may use.  With more than one, a level with at least two keys to
+    expand runs on a fork pool, started at the first such level and ended
+    before this returns.  Recording stays in BFS order, so the store, the
+    result and the frontier are those of a serial run that stops at the
+    same key, and an expansion that raises does so after the same records.
 
     Returns Complete with the reachable vertex and edge counts, or
     BudgetExhausted with the remaining frontier, each key once in BFS
-    order.  The resulting vertex and edge sets are independent of the
-    traversal order.  Expansion is serial: threads must be positive and
-    has no other effect."""
+    order."""
     if max_vertices <= 0 or max_seconds <= 0 or threads <= 0:
         raise InputError("budgets and thread count must be positive")
     start_key = vertex_key(store, start)
     deadline = time.monotonic() + max_seconds
     seen = {start_key}
-    queue: deque[str] = deque([start_key])
+    level = [start_key]
     expanded = 0
-    while queue:
-        if time.monotonic() > deadline or expanded >= max_vertices:
-            return BudgetExhausted(
-                tuple(queue), store.vertex_count(), store.edge_count()
-            )
-        expanded += 1
-        for child in expand(store, queue.popleft()):
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
+    with _Workers(threads) as workers:
+        while level:
+            if expanded >= max_vertices:
+                return BudgetExhausted(tuple(level), store.vertex_count(), store.edge_count())
+            cut = max_vertices - expanded
+            batch, level = level[:cut], level[cut:]
+            expanded += len(batch)
+            tasks = [
+                (store.mode, store.characteristic, key)
+                for key in batch
+                if not store.is_expanded(key)
+            ]
+            computed = workers.map(_children_task, tasks)
+            # Recording one key's children expands no other key of the batch,
+            # so the keys met unexpanded here are the tasks, in their order.
+            for i, key in enumerate(batch):
+                if time.monotonic() > deadline:
+                    # A serial queue holds the rest of the batch, then the
+                    # rest of the level, then the children enqueued so far.
+                    return BudgetExhausted(
+                        tuple(batch[i:]) + tuple(level), store.vertex_count(), store.edge_count()
+                    )
+                if store.is_expanded(key):
+                    children = store.children_of(key)
+                else:
+                    children = _record(store, key, next(computed))
+                for child in children:
+                    if child not in seen:
+                        seen.add(child)
+                        level.append(child)
     reach_edges = sum(len(store._out[k]) for k in seen)
     return Complete(len(seen), reach_edges)
 

@@ -24,6 +24,11 @@ class BasisCapExceeded(NashToricError, RuntimeError):
         super().__init__(f"number of linear bases exceeded the cap of {cap}")
         self.cap = cap
 
+    def __reduce__(self):
+        # Rebuilt from cap, as when it returns from a worker process; the
+        # default would pass the message to __init__ as the cap.
+        return type(self), (self.cap,)
+
 
 class SearchCapExceeded(NashToricError, RuntimeError):
     """The canonical search placed more columns than the configured cap."""
@@ -31,6 +36,11 @@ class SearchCapExceeded(NashToricError, RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"canonical search nodes exceeded the cap of {cap}")
         self.cap = cap
+
+    def __reduce__(self):
+        # Rebuilt from cap, as when it returns from a worker process; the
+        # default would pass the message to __init__ as the cap.
+        return type(self), (self.cap,)
 
 
 class StoreError(NashToricError, ValueError):

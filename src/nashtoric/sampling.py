@@ -90,7 +90,9 @@ def sample_random(
 ) -> SampleSummary:
     """Explore `count` random rank-n cones (normalized mode) or semigroups
     (nash mode); fully reproducible from the seed.  threads goes to
-    resolution_subgraph, which checks it and otherwise ignores it."""
+    resolution_subgraph, which expands each object's wide levels on that
+    many worker processes; the store and the summary, but for the elapsed
+    time, are the same for every thread count."""
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     if rank_ not in (2, 3, 4, 5):

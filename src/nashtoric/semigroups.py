@@ -94,20 +94,24 @@ def _parallelepiped_points(cols: Sequence[Vector]) -> list[Vector]:
     return out
 
 
+def facet_values(points: Iterable[Vector], facets: Sequence[Vector]) -> dict:
+    """Each point's tuple of facet values, keyed by the point."""
+    return {pt: tuple(dot(f, pt) for f in facets) for pt in points}
+
+
 def drop_dominated(
-    points: Iterable[Vector],
-    facets: Sequence[Vector],
+    evals: dict[Vector, tuple[int, ...]],
     member: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> tuple[Vector, ...]:
     """The points that no kept point of smaller grade reduces, sorted.
 
-    Points are taken by increasing grade, the sum of their facet values; a
-    kept p reduces q when the facet values of q - p are all >= 0 and member,
-    if given, accepts them.  Kept points suffice: if q = x + y in the
+    evals maps each point to its facet values (facet_values).  Points are
+    taken by increasing grade, the sum of their facet values; a kept p
+    reduces q when the facet values of q - p are all >= 0 and member, if
+    given, accepts them.  Kept points suffice: if q = x + y in the
     semigroup, x is a sum of kept points, and q minus any one of them is in
     the semigroup.  With the facets of C and no member, candidates that
     generate C n Z^n reduce to its Hilbert basis."""
-    evals = {pt: tuple(dot(f, pt) for f in facets) for pt in points}
     kept: list[Vector] = []
     kept_evals: list[tuple[int, ...]] = []
     for pt in sorted(evals, key=lambda pt: (sum(evals[pt]), pt)):
@@ -132,7 +136,7 @@ def hilbert_basis(C: Cone) -> tuple[Vector, ...]:
         candidates = set(rays)
         for simplex in _placing_triangulation(rays, n):
             candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
-        return drop_dominated(candidates, C.facet_normals)
+        return drop_dominated(facet_values(candidates, C.facet_normals))
 
     return C._cached("hilbert", compute)
 
@@ -181,8 +185,9 @@ class AffineSemigroup:
                 raise NotPointedError(
                     "semigroup membership needs a pointed hull"
                 )
+            rows = hull.inequality_rows()
             self._cache["solver"] = _MembershipSolver(
-                self._gens, hull.inequality_rows()
+                self._gens, rows, facet_values(self._gens, rows).values()
             )
         return self._cache["solver"]
 
@@ -225,11 +230,11 @@ class _MembershipSolver:
     first rejects a point outside the group the generators span, which the
     search could only learn by exhausting every node below it."""
 
-    def __init__(self, gens: Sequence[Vector], facets: Sequence[Vector]):
+    def __init__(self, gens: Sequence[Vector], facets: Sequence[Vector], gen_evals: Iterable):
+        """gen_evals are the facet values of gens (facet_values)."""
         self.gens = gens
         self.facets = facets
-        evs = {tuple(dot(f, g) for f in facets) for g in gens}
-        self.gen_evals = sorted(evs, key=lambda e: (-sum(e), e))
+        self.gen_evals = sorted(set(gen_evals), key=lambda e: (-sum(e), e))
         self._neg_grades = [-sum(e) for e in self.gen_evals]
         self.memo: dict[tuple[int, ...], bool] = {}
 
@@ -303,7 +308,8 @@ def _minimalize(gens: tuple[Vector, ...], hull: Cone | None = None) -> tuple[Vec
     if not hull.is_pointed():
         raise NotPointedError("generators span a non-pointed cone")
     rows = hull.inequality_rows()
-    return drop_dominated(gens, rows, _MembershipSolver(gens, rows).member_evals)
+    evals = facet_values(gens, rows)
+    return drop_dominated(evals, _MembershipSolver(gens, rows, evals.values()).member_evals)
 
 
 def _full_rank_generators(G: Iterable[Sequence[int]]) -> tuple[Vector, ...]:

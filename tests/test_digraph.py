@@ -1,11 +1,21 @@
 import hashlib
 import json
+import multiprocessing
+import itertools
+import multiprocessing.pool
+import os
+import pickle
 import random
+import types
 
 import pytest
 
+import nashtoric.blowup
+import nashtoric.canonical
+import nashtoric.digraph
 from nashtoric import (
     AffineSemigroup,
+    BasisCapExceeded,
     BudgetExhausted,
     CanonicalKey,
     Complete,
@@ -13,6 +23,7 @@ from nashtoric import (
     DigraphStore,
     InputError,
     IntMatrix,
+    SearchCapExceeded,
     StoreError,
     canonical_cone,
     expand,
@@ -20,6 +31,7 @@ from nashtoric import (
     find_cycles,
     reeves_cone,
     resolution_subgraph,
+    sample_random,
 )
 from nashtoric.digraph import _sccs, vertex_key
 
@@ -613,3 +625,186 @@ class TestWriterAgainstJson:
         assert loaded.vertices == a.vertices and loaded.edges == a.edges
         loaded.save(both)
         assert both.read_bytes() == _oracle_bytes(a)
+
+
+@pytest.fixture
+def pooled_levels(monkeypatch):
+    """The number of tasks of each level handed to a worker pool."""
+    widths = []
+    imap = multiprocessing.pool.Pool.imap
+
+    def spy(pool, fn, tasks, *args, **kwargs):
+        widths.append(len(tasks))
+        return imap(pool, fn, tasks, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", spy)
+    return widths
+
+
+def _run_saved(tmp_path, threads, mode, p, rank, start, **budget):
+    """The result and the saved bytes of one exploration from a new store;
+    no worker process may outlive it."""
+    st = DigraphStore(mode, p, rank)
+    status = resolution_subgraph(st, start, threads=threads, **budget)
+    assert multiprocessing.active_children() == []
+    path = tmp_path / f"threads{threads}.jsonl"
+    st.save(path)
+    return status, path.read_bytes()
+
+
+_POOL_CASES = {
+    "loop4-p2": ("normalized", 2, 4, lambda: Cone(LOOP4_COLS), {}),
+    "loop4-p3": ("normalized", 3, 4, lambda: Cone(LOOP4_COLS), {}),
+    **{
+        f"reeves-3-{j}": ("normalized", 0, 3, lambda j=j: reeves_cone(3, j), {})
+        for j in range(1, 13)
+    },
+    "nash-cycle2-20": (
+        "nash", 0, 3, lambda: AffineSemigroup(CYCLE2_COLS, assume_minimal=True),
+        {"max_vertices": 20},
+    ),
+}
+
+
+class TestPooledAgainstSerial:
+    """threads=2 expands each level with two or more new keys on worker
+    processes; the result, the frontier and the saved bytes must be a
+    serial run's, since the level is recorded in BFS order."""
+
+    @pytest.mark.parametrize("name", sorted(_POOL_CASES))
+    def test_same_saved_bytes(self, tmp_path, pooled_levels, name):
+        mode, p, rank, start, budget = _POOL_CASES[name]
+        serial = _run_saved(tmp_path, 1, mode, p, rank, start(), **budget)
+        assert pooled_levels == []
+        assert _run_saved(tmp_path, 2, mode, p, rank, start(), **budget) == serial
+        # reeves_cone(3, j) for j <= 3 has no level with two new keys.
+        assert bool(pooled_levels) == (name not in ("reeves-3-1", "reeves-3-2", "reeves-3-3"))
+
+    def test_levels_cut_by_the_vertex_budget(self, tmp_path, pooled_levels):
+        # LOOP4 at p = 3 has BFS levels of 1, 4, 13, 15, 16 and 4 keys, so
+        # most budgets below 31 cut a level in the middle.
+        for max_vertices in range(1, 31):
+            serial = _run_saved(
+                tmp_path, 1, "normalized", 3, 4, Cone(LOOP4_COLS), max_vertices=max_vertices
+            )
+            pooled = _run_saved(
+                tmp_path, 2, "normalized", 3, 4, Cone(LOOP4_COLS), max_vertices=max_vertices
+            )
+            assert isinstance(serial[0], BudgetExhausted)
+            assert pooled == serial
+        # The level of 13 keys went to the pool cut to 2, 3, ..., 13 keys.
+        assert set(range(2, 14)) <= set(pooled_levels)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_deadline_inside_a_level(self, tmp_path, monkeypatch, pooled_levels, threads):
+        """A clock that ticks once a reading passes max_seconds = t + 0.5 as
+        the (t + 1)-th key is taken, where max_vertices = t stops a run: the
+        same frontier and bytes, also where the deadline falls inside a
+        level that went whole to the pool."""
+        for t in range(1, 31):
+            ticks = itertools.count()
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    nashtoric.digraph, "time", types.SimpleNamespace(monotonic=lambda: next(ticks))
+                )
+                timed = _run_saved(
+                    tmp_path, threads, "normalized", 3, 4, Cone(LOOP4_COLS), max_seconds=t + 0.5
+                )
+            budgeted = _run_saved(
+                tmp_path, 1, "normalized", 3, 4, Cone(LOOP4_COLS), max_vertices=t
+            )
+            assert isinstance(timed[0], BudgetExhausted)
+            assert timed == budgeted
+        # The level of 13 keys went to the pool whole.
+        assert (13 in pooled_levels) == (threads == 2)
+
+    @pytest.mark.parametrize(
+        "threads, cpus, pools", [(100_000, 3, [3]), (2, 3, [2]), (100_000, 1, [])]
+    )
+    def test_pool_size_is_capped_by_the_cpus(self, monkeypatch, threads, cpus, pools):
+        """A pool has no more workers than the CPUs this process may use, and
+        with one CPU there is none.  The pool is a stand-in that maps in this
+        process, so no worker process starts."""
+        started = []
+
+        class StandInPool:
+            def __init__(self, processes, *args, **kwargs):
+                started.append(processes)
+
+            def imap(self, fn, tasks):
+                return map(fn, tasks)
+
+            def terminate(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", StandInPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        status = resolution_subgraph(
+            DigraphStore("normalized", 3, 4), Cone(LOOP4_COLS), threads=threads
+        )
+        assert status == resolution_subgraph(DigraphStore("normalized", 3, 4), Cone(LOOP4_COLS))
+        assert started == pools
+
+    def test_sample_keeps_its_store_digest(self, tmp_path, pooled_levels):
+        st = DigraphStore("nash", 0, 2)
+        run = sample_random(2, "nash", 60, 20260810, 4, threads=2, store=st)
+        assert multiprocessing.active_children() == []
+        assert pooled_levels
+        assert (run.resolved, run.budget_exhausted, run.cycles_found) == (60, 0, 0)
+        path = tmp_path / "sample.jsonl"
+        st.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "8c84f4a7d36e61168c955788e4c47650dd716acb8f9189786eb3348a62497ea2"
+        )
+
+    @pytest.mark.parametrize("error", [BasisCapExceeded(7), SearchCapExceeded(7)])
+    def test_cap_errors_unpickle_to_themselves(self, error):
+        back = pickle.loads(pickle.dumps(error))
+        assert (type(back), back.cap, str(back)) == (type(error), 7, str(error))
+
+    @pytest.mark.parametrize(
+        "error, cap, mode, p, rank",
+        [
+            (SearchCapExceeded, 400, "normalized", 3, 4),
+            (SearchCapExceeded, 1000, "normalized", 3, 4),
+            (SearchCapExceeded, 100, "nash", 0, 3),
+            (BasisCapExceeded, 40, "normalized", 3, 4),
+            (BasisCapExceeded, 10, "nash", 0, 3),
+        ],
+    )
+    def test_a_cap_error_crosses_the_pool_unchanged(
+        self, tmp_path, monkeypatch, pooled_levels, error, cap, mode, p, rank
+    ):
+        """A cap patched before the call is what the workers read; the first
+        key in BFS order that trips it raises, after the same records.  The
+        start is LOOP4 in normalized mode and CYCLE2 in Nash mode, and its
+        key is taken before the cap is lowered."""
+        module, attr = {
+            SearchCapExceeded: (nashtoric.canonical, "DEFAULT_SEARCH_CAP"),
+            BasisCapExceeded: (nashtoric.blowup, "DEFAULT_BASIS_CAP"),
+        }[error]
+        runs = []
+        for threads in (1, 2):
+            st = DigraphStore(mode, p, rank)
+            if mode == "nash":
+                key = vertex_key(st, AffineSemigroup(CYCLE2_COLS, assume_minimal=True))
+            else:
+                key = vertex_key(st, Cone(LOOP4_COLS))
+            with monkeypatch.context() as patched:
+                patched.setattr(module, attr, cap)
+                with pytest.raises(error) as info:
+                    resolution_subgraph(st, key, threads=threads, max_vertices=40)
+            assert multiprocessing.active_children() == []
+            path = tmp_path / f"threads{threads}.jsonl"
+            st.save(path)
+            exc = info.value
+            runs.append((type(exc), exc.cap, str(exc), path.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == cap and runs[0][2].endswith(f"cap of {cap}")
+        # The serial run starts no pool, so these are the pooled run's
+        # levels; in every case the key that raises lies in level 1 or 2,
+        # which have 4 and 13 keys for both starts.
+        assert pooled_levels
