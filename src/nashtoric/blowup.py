@@ -11,11 +11,14 @@ the vertex at w; one more greedy run crosses each wall between two normal
 cones, as Groebner-fan traversal does (Fukuda-Jensen-Thomas 2007).  The
 chart at v is H and each g - h with I - h + g a basis.  By Brualdi's
 bijective exchange (1969) it generates S + <h_J - v over all bases J>, and
-its cone is cone(P - v).  Nash mode takes H the minimal generators of S and
-C its hull, and minimalizes each chart.  Normalized mode takes H the
-Hilbert basis of C; its chart is the saturation of the Nash chart, so the
-child is the chart's cone.  The subdivision of sigma, the normal fan of P
-for C = sigma-dual, takes the dual of each chart's cone.
+its cone is cone(P - v).  That cone contains C, so it is spanned by C's
+rays and the chart's moves g - h that leave C; the moves inside C stay in
+the chart but are not handed to the double description.  Nash mode takes
+H the minimal generators of S and C its hull, and minimalizes each chart.
+Normalized mode takes H the Hilbert basis of C; its chart is the
+saturation of the Nash chart, so the child is the chart's cone.  The
+subdivision of sigma, the normal fan of P for C = sigma-dual, takes the
+dual of each chart's cone.
 
 Only the characteristic of the base field enters the computation, through
 the echelon step over Q or GF(p) of the greedy runs and the exchange test.
@@ -23,6 +26,7 @@ the echelon step over Q or GF(p) of the greedy runs and the exchange test.
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import lt
 
 from .canonical import canonical_cone
 from .cones import Cone
@@ -46,7 +50,9 @@ def _vertex_charts(
 
     The chart at v is H and each g - h with I - h + g a basis, I the greedy
     basis with sum v: by Cramer's rule, when row k of adj(I), h the k-th
-    element of I, is nonzero at g modulo p.  A ray e of the chart's cone
+    element of I, is nonzero at g modulo p.  H generates C, so C lies in
+    the chart's cone, and that cone is built from the elements of H on
+    C's rays and only the moves g - h outside C.  A ray e of the cone
     outside C is a bounded edge; the sum w of the cone's facet normals tight
     at e lies on the wall between the normal cones of its ends, and the key
     (w.h, -e.h, h) orders H as a functional just past it.  Each edge is
@@ -59,16 +65,26 @@ def _vertex_charts(
     todo = [independent(sorted(H, key=lambda h: (dot(w0, h), h)), p)]
     charts = {_vector_sum(todo[0]): None}
     crossed: set[tuple[Vector, Vector]] = set()
+    # g - h lies in C iff no facet value of g is below the one of h.  As H
+    # generates C, h spans a ray of C iff no g in H is tight at more facets.
+    values = {h: tuple(dot(f, h) for f in C.facet_normals) for h in H}
+    tight = {h: frozenset(i for i, x in enumerate(values[h]) if not x) for h in H}
+    rays = [h for h in H if not any(tight[h] < tight[g] for g in H)]
     while todo:
         I = todo.pop()
         v = _vector_sum(I)
         chart = set(H)
+        outside = set(rays)
         for row, h in zip(adjugate(I), I):
+            at_h = values[h]
             for g in H:
                 x = dot(row, g)
                 if g != h and (x % p if p else x):
-                    chart.add(vec_sub(g, h))
-        K = Cone(chart)
+                    move = vec_sub(g, h)
+                    chart.add(move)
+                    if any(map(lt, values[g], at_h)):
+                        outside.add(move)
+        K = Cone(outside)
         charts[v] = (v, tuple(sorted(chart)), K)
         for e in K.rays:
             if C.contains(e) or (v, e) in crossed:

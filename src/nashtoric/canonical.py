@@ -11,22 +11,24 @@ matrix R has the identity as HNF, realized by (R P)^-1, so the key is the
 identity and the transforms are the n! row orders of R^-1.
 
 Any other cone is searched by branch and bound.  Columns are placed one
-at a time with the HNF's own column step (linalg.hnf_column_step); the
-committed columns of the final HNF depend only on the placed prefix, so a
-branch dies as soon as its known entries fall behind the incumbent in
+at a time with the HNF's own column step (linalg.hnf_reduce); the
+committed columns of the final HNF depend only on the placed prefix, so
+a branch dies as soon as its known entries fall behind the incumbent in
 row-major order.  Until the last column is placed those entries are row
 0's, so the bound is one comparison of the prefix's row 0 with the
-incumbent's.  While they tie, each child's row-0 entry is previewed
-(linalg.hnf_top_entry) and a child that would fall behind is never
-placed.  Once the prefix has n pivots the step no longer changes the
-transform U, and each remaining column commits as U * col.  The best
-order of that tail is then its columns in decreasing lexicographic
-order, and no other order ties it (the rays are distinct and U is
-unimodular), so the search finishes such a node with one sorted tail
-instead of branching over it.  A finished node is compared in full.
-Every column placed, and every transform of a unimodular cone, counts
-against DEFAULT_SEARCH_CAP, read at call time; past it the search raises
-SearchCapExceeded.
+incumbent's.  Each child's column is multiplied by the node's transform
+once, to u = U * col.  While the prefix ties, the child's row-0 entry is
+previewed from rows 0 and r.. of u (linalg.hnf_top_entry), r the pivots
+placed; a child that would fall behind is never placed, and a kept child
+is placed from the same u, its rows 1..r-1 filled in.  Once the prefix
+has n pivots the step no longer changes the transform U, and each
+remaining column commits as U * col.  The best order of that tail is
+then its columns in decreasing lexicographic order, and no other order
+ties it (the rays are distinct and U is unimodular), so the search
+finishes such a node with one sorted tail instead of branching over it.
+A finished node is compared in full.  Every column placed, and every
+transform of a unimodular cone, counts against DEFAULT_SEARCH_CAP, read
+at call time; past it the search raises SearchCapExceeded.
 
 A semigroup key applies every optimal cone transform to the Hilbert basis,
 sorts the columns lexicographically, and keeps the least such matrix, so
@@ -34,13 +36,14 @@ hull automorphisms cannot split an equivalence class.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
+from operator import mul
 
 from .cones import Cone
 from .errors import InputError, SearchCapExceeded
 from .linalg import IntMatrix, Vector, dot, hermite_normal_form
-from .linalg import hnf_column_step, hnf_top_entry
+from .linalg import hnf_reduce, hnf_top_entry
 from .semigroups import AffineSemigroup
 
 DEFAULT_SEARCH_CAP = 10**6
@@ -55,8 +58,14 @@ class CanonicalKey:
 
     @classmethod
     def from_matrix(cls, M: IntMatrix) -> "CanonicalKey":
-        body = ",".join([str(x) for row in M.data for x in row])
-        return cls(M, f"{M.rows} x {M.cols}: {body}")
+        return cls(M, cls.serialize(M.data))
+
+    @staticmethod
+    def serialize(rows) -> str:
+        """The key text of a matrix given as nonempty integer rows of one
+        width: "2 x 2: 1,0,0,1" for the identity.  Nothing is checked."""
+        body = ",".join([str(x) for row in rows for x in row])
+        return f"{len(rows)} x {len(rows[0])}: {body}"
 
     @staticmethod
     def json_rows(text: str) -> str:
@@ -87,17 +96,23 @@ class CanonicalKey:
         return self.serialization
 
 
-def _place_column(U: tuple, r: int, col: Vector):
-    """Extend a partial HNF by one column: (new U, new r, committed column).
+def _place_column(U: tuple, r: int, u: list):
+    """Extend a partial HNF by the column whose image under U is u:
+    (new U, new r, committed column).
 
-    A delegate rather than an alias of hnf_column_step: perfbench's tracer
+    A delegate rather than an alias of hnf_reduce: perfbench's tracer
     wraps every module binding of the object it traces, so an alias would
     count every HNF step as a canonical search node."""
-    return hnf_column_step(U, r, col)
+    return hnf_reduce(U, r, u)
 
 
-def _row_major(cols: list[Vector], n: int) -> tuple:
-    return tuple(cols[j][i] for i in range(n) for j in range(len(cols)))
+def _images(U: tuple, columns: tuple[Vector, ...], todo) -> list:
+    """(idx, U * columns[idx]) for each idx of todo, each image a new list."""
+    return [(i, [sum(map(mul, row, columns[i])) for row in U]) for i in todo]
+
+
+def _row_major(cols: list[Vector]) -> tuple:
+    return tuple(chain.from_iterable(zip(*cols)))
 
 
 def _max_hnf_over_permutations(
@@ -133,28 +148,38 @@ def _max_hnf_over_permutations(
             placed += len(remaining)
             if placed > cap:
                 raise SearchCapExceeded(cap)
-            tail = [_place_column(U, r, columns[idx])[2] for idx in remaining]
+            images = _images(U, columns, remaining)
+            tail = [_place_column(U, r, u)[2] for _, u in images]
             cols = prefix + sorted(tail, reverse=True)
-            key = _row_major(cols, n)
+            key = _row_major(cols)
             if key > best_key:
                 best_key, best_cols, best_us = key, cols, [U]
             elif key == best_key:
                 best_us.append(U)
             continue
-        todo = remaining
         if best_key and row0 == best_key[:j]:
             # Tied with the incumbent so far (so r >= 1, past the root):
             # a child whose row-0 entry falls below it is never placed.
-            floor = best_key[j]
-            todo = [i for i in remaining if hnf_top_entry(U, r, columns[i]) >= floor]
+            # The preview needs rows 0 and r.. of u alone, formed first as
+            # [u_0, u_r, ...]; rows 1..r-1 are formed for a kept child only.
+            floor, outer, inner = best_key[j], U[:1] + U[r:], U[1:r]
+            todo = []
+            for i in remaining:
+                col = columns[i]
+                u = [sum(map(mul, row, col)) for row in outer]
+                if hnf_top_entry(u, 1) >= floor:
+                    u[1:1] = [sum(map(mul, row, col)) for row in inner]
+                    todo.append((i, u))
+        else:
+            todo = _images(U, columns, remaining)
         placed += len(todo)
         if placed > cap:
             raise SearchCapExceeded(cap)
         # Try the lexicographically largest extensions first so the first
         # dive lands near the optimum and later branches prune early.
         exts = []
-        for idx in todo:
-            U2, r2, hcol = _place_column(U, r, columns[idx])
+        for idx, u in todo:
+            U2, r2, hcol = _place_column(U, r, u)
             exts.append((hcol, idx, U2, r2))
         exts.sort()
         for hcol, idx, U2, r2 in exts:

@@ -48,6 +48,17 @@ def epsilon_key(mode: str, rank: int) -> CanonicalKey:
     return _key(_vertex(mode, IntMatrix.identity(rank)))
 
 
+def _check_rows(rows) -> None:
+    """Raise unless a decoded payload is nonempty rows of ints of one
+    width, as IntMatrix would; bools, which IntMatrix takes, are refused."""
+    if any(type(x) is not int for row in rows for x in row):
+        raise StoreError("matrix entries must be integers")
+    if not rows or not rows[0]:
+        raise InputError("matrix must have at least one row and one column")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise InputError("matrix rows must all have the same length")
+
+
 class DigraphStore:
     """A partially known Nash digraph: _out maps each vertex, held only as
     its canonical key, to the keys of its children."""
@@ -88,11 +99,16 @@ class DigraphStore:
         """Add a vertex given from outside, after checking that its payload
         has the store's rank and that key serializes it.  The package's own
         keys, just serialized, go into _out directly."""
-        if matrix.rows != self.rank:
+        self._add_payload(key, matrix.data)
+
+    def _add_payload(self, key: str, rows) -> None:
+        """add_vertex of a payload given as nonempty integer rows of one
+        width."""
+        if len(rows) != self.rank:
             raise StoreError(
-                f"payload has {matrix.rows} rows, store rank is {self.rank}"
+                f"payload has {len(rows)} rows, store rank is {self.rank}"
             )
-        if key != CanonicalKey.from_matrix(matrix).serialization:
+        if key != CanonicalKey.serialize(rows):
             raise StoreError(f"key {key!r} does not serialize its payload")
         self._out.setdefault(key, set())
 
@@ -185,9 +201,8 @@ class DigraphStore:
                         raise StoreError("the first record must be a meta line")
                     elif kind == "vertex":
                         rows = rec["matrix"]
-                        if any(type(x) is not int for row in rows for x in row):
-                            raise StoreError("matrix entries must be integers")
-                        store.add_vertex(rec["key"], IntMatrix(rows))
+                        _check_rows(rows)
+                        store._add_payload(rec["key"], rows)
                     elif kind == "edge":
                         store.add_edge(rec["from"], rec["to"])
                     else:

@@ -7,11 +7,14 @@ are exact for every input; nothing here ever touches floating point.
 The Hermite normal form convention is row-style: each row's pivot (first
 nonzero entry) lies strictly to the right of the pivot above, pivots are
 positive, and entries above a pivot are nonnegative and strictly smaller
-than the pivot.  hnf_column_step computes one column of it, and the
-canonical-form search of canonical.py places its columns with that same
-step, so the convention behind canonical keys lives here alone.
-hnf_top_entry previews the row-0 entry of a step without taking it, which
-is all the search's bound needs to reject a column.
+than the pivot.  hnf_reduce computes one column of it from the column's
+image u = U * col under the transform U of the earlier columns, and
+hnf_column_step forms that image first.  The column step has two more
+uses, so the convention behind canonical keys lives here alone: the
+canonical-form search of canonical.py forms each u once, previews its
+row-0 entry with hnf_top_entry (all the search's bound needs to reject a
+column) and places it with hnf_reduce; lattice_basis_of_columns reduces
+the generator rows themselves, each column of them being its own u.
 
 Elimination has two kernels.  The Smith form, lattice_index and
 solve_integer are built from the Hermite form.  One echelon step,
@@ -141,18 +144,27 @@ def make_primitive(v: Sequence[int]) -> Vector:
 def hnf_column_step(
     U: tuple[Vector, ...], r: int, col: Sequence[int]
 ) -> tuple[tuple[Vector, ...], int, Vector]:
-    """One column of the row-style Hermite normal form.
+    """One column of the row-style Hermite normal form: hnf_reduce of the
+    column U * col.  Returns (new U, new r, the committed HNF column)."""
+    return hnf_reduce(U, r, [sum(map(mul, row, col)) for row in U])
 
-    U is the row transform accumulated over the earlier columns and r the
-    number of pivots found so far.  The column U * col is reduced among
-    rows r.. by Euclidean steps (the entry of least magnitude, first such
-    row on ties, divides the others), the surviving entry moves to row r
-    and is made positive, and the entries above it are reduced to
-    [0, pivot).  Returns (new U, new r, the committed HNF column); later
+
+def hnf_reduce(
+    U: tuple[Vector, ...], r: int, u: list[int]
+) -> tuple[tuple[Vector, ...], int, Vector]:
+    """Reduce the column u = U * col of a partial Hermite normal form.
+
+    U is the row transform accumulated over the earlier columns, or the
+    rows being reduced themselves, and r the number of pivots found so
+    far.  u is reduced among rows r.. by Euclidean steps (the entry of
+    least magnitude, first such row on ties, divides the others), the
+    surviving entry moves to row r and is made positive, and the entries
+    above it are reduced to [0, pivot); each step is applied to the rows
+    of U alike.  Returns (new U, new r, the committed HNF column); later
     steps never change a committed column.  Rows of U are tuples, so a
-    caller may branch from the same U many times."""
-    m = len(col)
-    u = [sum(map(mul, row, col)) for row in U]
+    caller may branch from the same U many times; u is a list of its own,
+    which the step overwrites."""
+    m = len(U)
     W = list(U)
     while True:
         nz = [i for i in range(r, m) if u[i]]
@@ -166,7 +178,7 @@ def hnf_column_step(
             q = u[i] // p
             if q:
                 u[i] -= q * p
-                W[i] = tuple(a - q * b for a, b in zip(W[i], P))
+                W[i] = tuple([a - q * b for a, b in zip(W[i], P)])
     if nz:
         i0 = nz[0]
         if i0 != r:
@@ -180,19 +192,18 @@ def hnf_column_step(
             q = u[i] // p
             if q:
                 u[i] -= q * p
-                W[i] = tuple(a - q * b for a, b in zip(W[i], P))
+                W[i] = tuple([a - q * b for a, b in zip(W[i], P)])
         r += 1
     return tuple(W), r, tuple(u)
 
 
-def hnf_top_entry(U: tuple[Vector, ...], r: int, col: Sequence[int]) -> int:
-    """The row-0 entry that hnf_column_step(U, r, col) commits, for r >= 1,
+def hnf_top_entry(u: Sequence[int], r: int) -> int:
+    """The row-0 entry that hnf_reduce(U, r, u) commits, for r >= 1,
     without the step.  Row 0 holds an earlier pivot, so the step only
-    reduces U[0] * col modulo the new pivot, the gcd g of rows r.. of
-    U * col; with no new pivot (g = 0) the entry stays as it is."""
-    g = gcd(*(sum(map(mul, row, col)) for row in U[r:]))
-    u0 = sum(map(mul, U[0], col))
-    return u0 % g if g else u0
+    reduces u[0] modulo the new pivot, the gcd g of u[r:]; with no new
+    pivot (g = 0) the entry stays as it is."""
+    g = gcd(*u[r:])
+    return u[0] % g if g else u[0]
 
 
 def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -408,13 +419,18 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Vector | None:
 
 def lattice_basis_of_columns(A: IntMatrix) -> IntMatrix:
     """Canonical (column-HNF) basis matrix of the lattice spanned by the
-    columns of A.  Requires full row rank; the result is n x n."""
+    columns of A.  Requires full row rank; the result is n x n.
+
+    The columns of A, as k rows n wide, are reduced in place by
+    hnf_reduce, column j of the rows at step j.  With n pivots the first
+    n rows of their row-style HNF are the basis vectors, the rest zero."""
     n = A.rows
-    H, _ = hermite_normal_form(A.transpose())
-    rows = [row for row in H.data if any(row)]
-    if len(rows) < n:
+    rows, r = A.columns(), 0
+    for j in range(n):
+        rows, r, _ = hnf_reduce(rows, r, [row[j] for row in rows])
+    if r < n:
         raise NotFullRankError("columns do not span a full-rank lattice")
-    return IntMatrix(rows).transpose()
+    return IntMatrix(zip(*rows[:n]))
 
 
 def parse_matrix(text: str) -> IntMatrix:

@@ -11,7 +11,7 @@ blowup.  None of them imports the package.
 import itertools
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 
 def is_hnf(rows) -> bool:
@@ -123,6 +123,37 @@ def snf_factors_by_minor_gcd(rows):
     return tuple(
         divisors[k] // divisors[k - 1] for k in range(1, len(divisors))
     )
+
+
+def lattice_basis_by_minors(columns, basis) -> bool:
+    """Whether basis, n rows of n entries or None, is the column-HNF basis
+    of the lattice the n-vectors columns span.  Its transpose must satisfy
+    is_hnf, the product of its diagonal must be the gcd of the maximal
+    minors of the column matrix, and each column must be an integer
+    combination of the basis columns.  The last two make the lattices
+    equal and the first picks one basis of it.  None passes exactly when
+    the columns span no full-rank lattice."""
+    n = len(columns[0])
+    factors = snf_factors_by_minor_gcd([list(r) for r in zip(*columns)])
+    if basis is None or len(factors) < n:
+        return basis is None and len(factors) < n
+    if not is_hnf([list(c) for c in zip(*basis)]):
+        return False
+    if prod(basis[i][i] for i in range(n)) != prod(factors):
+        return False
+    # The basis is lower triangular: solve for each column by forward
+    # substitution, in integers.
+    for col in columns:
+        x = list(col)
+        for i in range(n):
+            if x[i] % basis[i][i]:
+                return False
+            q = x[i] // basis[i][i]
+            for k in range(n):
+                x[k] -= q * basis[k][i]
+        if any(x):
+            return False
+    return True
 
 
 def cone_contains(rays, v) -> bool:

@@ -33,6 +33,9 @@ from nashtoric.linalg import dot, rank
 from conftest import (
     CYCLE2_COLS,
     CYCLE2_SEED_COLS,
+    LOOP4_COLS,
+    LOOP5_COLS,
+    RUNNING_COLS,
     WHITNEY_COLS,
     feasible_cone,
     polyhedron_vertices,
@@ -425,6 +428,66 @@ class TestVertexWalk:
             with pytest.raises(BasisCapExceeded) as info:
                 call()
             assert info.value.cap == 2
+
+
+def _assert_outside_move_cones(H, C, p):
+    """At every vertex of the walk, the cone built from C's rays and the
+    moves outside C has the rays and facets of the cone of the whole chart."""
+    for _, chart, K in _vertex_charts(H, C, p):
+        full = Cone(chart)
+        assert K.rays == full.rays
+        assert K.facet_normals == full.facet_normals
+
+
+def _normalized_walk(cols):
+    C = Cone(cols)
+    return hilbert_basis(C), C
+
+
+def _nash_walk(cols):
+    S = AffineSemigroup(cols)
+    return S.generators, S.hull
+
+
+class TestOutsideMoveCones:
+    @pytest.mark.parametrize(
+        "walk, cols, p",
+        [
+            (_normalized_walk, LOOP4_COLS, 2),
+            (_normalized_walk, LOOP4_COLS, 3),
+            (_normalized_walk, LOOP5_COLS, 0),
+            (_nash_walk, CYCLE2_COLS, 0),
+            (_nash_walk, CYCLE2_COLS, 2),
+        ],
+        ids=["loop4-p2", "loop4-p3", "loop5-p0", "cycle2-nash-p0", "cycle2-nash-p2"],
+    )
+    def test_fixtures(self, walk, cols, p):
+        _assert_outside_move_cones(*walk(cols), p)
+
+    @pytest.mark.parametrize("j", range(1, 9))
+    def test_reeves(self, j):
+        _assert_outside_move_cones(*_normalized_walk(reeves_cone(3, j).rays), 0)
+
+    def test_random_cones_both_modes(self):
+        rng = random.Random(2011)
+        done = 0
+        while done < 24:
+            n = rng.choice([2, 3, 4])
+            C = random_pointed_cone(rng, n, bound={2: 6, 3: 3, 4: 2}[n])
+            p = rng.choice([0, 2, 3])
+            if done % 2:
+                _assert_outside_move_cones(*_normalized_walk(C.rays), p)
+            else:
+                S = minimal_generators(C.rays)
+                if not S.is_full_lattice() or len(S.generators) > 10:
+                    continue
+                _assert_outside_move_cones(S.generators, S.hull, p)
+            done += 1
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_running(self, p):
+        _assert_outside_move_cones(*_normalized_walk(RUNNING_COLS), p)
 
 
 class TestCharacteristicStability:

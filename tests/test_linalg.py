@@ -28,10 +28,11 @@ from nashtoric.cones import dual_description
 from nashtoric.linalg import adjugate, check_characteristic, independent, rank
 from nashtoric.linalg import reduce_independent
 from nashtoric.linalg import hnf_column_step, hnf_top_entry, solve_integer
+from nashtoric.linalg import lattice_basis_of_columns
 
 from conftest import RUNNING_COLS, RUNNING_HNF_COLS, random_unimodular
 from oracles import det_cofactor, hnf_by_search, is_hnf, rank_over_field
-from oracles import snf_factors_by_minor_gcd
+from oracles import lattice_basis_by_minors, snf_factors_by_minor_gcd
 
 small_matrix = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.integers(min_value=1, max_value=5).flatmap(
@@ -158,7 +159,8 @@ class TestHermite:
             # col = U^-1 w with w zero past row r, so U[r:] * col = 0.
             inverse = hermite_normal_form(U)[1]
             col = inverse.mult_vector(w[:r] + [0] * (n - r))
-        assert hnf_top_entry(U.data, r, col) == hnf_column_step(U.data, r, col)[2][0]
+        u = U.mult_vector(col)
+        assert hnf_top_entry(u, r) == hnf_column_step(U.data, r, col)[2][0]
 
     def test_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
@@ -432,6 +434,23 @@ class TestVectorOps:
         assert make_primitive((3, -1)) == (3, -1)
         with pytest.raises(InputError):
             make_primitive((0, 0))
+
+    def test_lattice_basis_against_minors(self):
+        """lattice_basis_of_columns on 1-5-row matrices of n to n + 3
+        columns, some of them not of full rank, against the minor oracle."""
+        rng = random.Random(12)
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            bound = rng.choice([1, 3, 9])
+            cols = [
+                tuple(rng.randint(-bound, bound) for _ in range(n))
+                for _ in range(rng.randint(n, n + 3 if n < 4 else n + 1))
+            ]
+            try:
+                basis = lattice_basis_of_columns(IntMatrix.from_columns(cols)).data
+            except NotFullRankError:
+                basis = None
+            assert lattice_basis_by_minors(cols, basis), (cols, basis)
 
     def test_lattice_index(self):
         assert lattice_index(IntMatrix.identity(4)) == 1
