@@ -3,24 +3,25 @@
 A store holds each vertex once, as its canonical key, and the directed
 child edges.  A key spells out its canonical payload matrix: save and
 export_dot copy it from the key text, and only an expansion parses it.
-Exploration is the breadth-first resolution subgraph, one level at a
-time: expand the level's vertices, on worker processes if asked, record
-their children in BFS order, and stop when the reachable closure is
-complete or when a budget runs out.  Stores round-trip through a
-JSON-lines file, which load reads in one pass in file order, and merge by
-set union when their metadata agree.
+Exploration is the breadth-first resolution subgraph: one serial loop
+records each key's children in BFS order, worker processes may compute
+them ahead, and it stops when the reachable closure is complete or a
+budget runs out.  Stores round-trip through a JSON-lines file, which load
+reads in one pass in file order, and merge by set union when their
+metadata agree.
 """
 
 import json
 import os
 import time
 from collections import deque
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 
 from .blowup import nash_children, normalized_nash_children
 from .canonical import CanonicalKey, canonical_cone, canonical_semigroup
 from .cones import Cone
-from .errors import InputError, StoreError
+from .errors import InputError, NashToricError, StoreError
 from .linalg import IntMatrix, check_characteristic
 from .semigroups import AffineSemigroup
 
@@ -230,14 +231,6 @@ def _compute_children(mode: str, characteristic: int, key: str) -> tuple[str, ..
     return tuple(sorted({_key(child).serialization for child in kids}))
 
 
-def _children_task(task: tuple[str, int, str]) -> tuple[str, ...]:
-    """_compute_children of a (mode, characteristic, key) task.  A pool
-    pickles the function it maps by name, and this one is never rebound,
-    whereas a profiler may wrap _compute_children; the module global is
-    looked up where the task runs."""
-    return _compute_children(*task)
-
-
 def vertex_key(store: DigraphStore, obj) -> str:
     """The stored key of a key, cone or semigroup.  A key must already be
     stored, and nothing is parsed; a cone or semigroup is canonicalized
@@ -291,46 +284,122 @@ class BudgetExhausted:
     edge_count: int
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
+def _serve(conn, mode: str, characteristic: int) -> None:
+    """A worker: answer each key with its children or its error until EOF."""
+    while True:
+        try:
+            key = conn.recv()
+        except EOFError:
+            return
+        try:
+            conn.send(_compute_children(mode, characteristic, key))
+        except Exception as exc:
+            conn.send(exc)
 
 
-class _Workers:
-    """Where the expansions of a level run.  map is the builtin map for one
-    worker or fewer than two tasks; otherwise it is the imap of a fork pool,
-    started at the first such call and ended on exit, so that no worker
-    outlives the with block.  The pool has `processes` workers, but never
-    more than this process has CPUs.  imap yields results in task order and
-    raises a task's exception at its place in that order.  A worker reads
-    the package's module globals, such as the search and basis caps, as
-    they stood when the pool started."""
+class _Prefetcher(AbstractContextManager):
+    """Computes children ahead of the loop of _explore on `processes` forked
+    workers, at most one per CPU, and hands a key's children over, or raises
+    its error, when the loop asks.  They start once the loop asks while
+    another unexpanded key waits, and read the package's globals as they
+    stood then.  Each has its own pipe and one key in flight at most, so no
+    lock is shared, a dead one shows as end of file, and exit kills them all.
+    An idle worker takes the key the loop waits for, then the queue's
+    unexpanded keys within the vertex budget, then children of results not
+    yet met, while fewer than `processes` of those are out: a run stopped by
+    max_vertices hands out at most max_vertices + `processes` keys."""
 
-    def __init__(self, processes: int):
-        self.processes = min(processes, _cpu_count())
-        self._pool = None
+    def __init__(self, store: DigraphStore, processes: int):
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # not on every platform
+            cpus = os.cpu_count() or 1
+        self.store = store
+        self.processes = min(processes, cpus)
+        self._workers = {}  # pipe -> its worker process
+        self._busy = {}  # pipe -> its key in flight
+        self._sent = {}  # key handed out -> its result, None while in flight
 
-    def map(self, fn, tasks: list):
-        if self.processes == 1 or len(tasks) < 2:
-            return map(fn, tasks)
-        if self._pool is None:
-            # Imported here: a run that never starts a pool skips its cost.
-            import multiprocessing
+    def follow(self, queue: deque, seen: dict, max_vertices: int) -> None:
+        """Serve a loop that takes up to max_vertices keys from queue, where
+        seen maps each key met to its place in BFS order."""
+        self._queue, self._seen, self._limit = queue, seen, max_vertices
+        self._scan, self._kids, self._risky = 0, deque(), set()
 
-            self._pool = multiprocessing.get_context("fork").Pool(self.processes)
-        return self._pool.imap(fn, tasks)
+    def children(self, key: str) -> tuple[str, ...]:
+        if not self._workers:
+            if self.processes == 1 or all(map(self.store.is_expanded, self._queue)):
+                return _compute_children(self.store.mode, self.store.characteristic, key)
+            self._start()
+        self._collect(0, key)
+        while self._sent.get(key) is None:
+            self._collect(None, key)
+        result = self._sent.pop(key)
+        if isinstance(result, Exception):
+            raise result
+        return result
 
-    def __enter__(self):
-        return self
+    def _start(self) -> None:
+        import multiprocessing.connection  # only a run that forks pays for it
+
+        self._ready = multiprocessing.connection.wait
+        fork = multiprocessing.get_context("fork")
+        for _ in range(self.processes):
+            conn, there = fork.Pipe()
+            args = (there, self.store.mode, self.store.characteristic)
+            worker = fork.Process(target=_serve, args=args, daemon=True)
+            worker.start()
+            there.close()
+            self._workers[conn] = worker
+
+    def _collect(self, timeout: float | None, want: str) -> None:
+        """Feed idle workers, want first; keep results back within timeout (None: wait for one)."""
+        self._feed(want)
+        for conn in self._ready(list(self._busy), timeout):
+            key = self._busy.pop(conn)
+            try:
+                self._sent[key] = result = conn.recv()
+            except EOFError:
+                raise NashToricError(f"a worker process died expanding {key!r}") from None
+            if not isinstance(result, Exception):
+                self._kids.extend(result)
+
+    def _feed(self, want: str) -> None:
+        queue, seen, sent, limit = self._queue, self._seen, self._sent, self._limit
+        taken = len(seen) - len(queue)
+        self._scan = max(self._scan, taken)
+        idle = [conn for conn in self._workers if conn not in self._busy]
+        while idle:
+            if want not in sent:
+                key = want
+            elif self._scan < min(len(seen), limit):
+                key = queue[self._scan - taken]
+                self._scan += 1
+                self._kids.clear()  # the scan meets them in the queue
+                if key in sent or self.store.is_expanded(key):
+                    continue
+            else:
+                # Out and not met within the budget: what may go to waste.
+                self._risky = {k for k in self._risky if k in sent and seen.get(k, limit) >= limit}
+                if not self._kids or len(self._risky) >= self.processes:
+                    return
+                key = self._kids.popleft()
+                if key in seen or key in sent or self.store.is_expanded(key):
+                    continue
+                self._risky.add(key)
+            self._send(idle.pop(), key)
+
+    def _send(self, conn, key: str) -> None:
+        conn.send(key)
+        self._busy[conn] = key
+        self._sent[key] = None
 
     def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-        return False
+        for conn, worker in self._workers.items():
+            worker.kill()
+            worker.join()
+            worker.close()
+            conn.close()
 
 
 def resolution_subgraph(
@@ -342,62 +411,41 @@ def resolution_subgraph(
     threads: int = 1,
 ):
     """Breadth-first expansion of all descendants of start (Algorithm-1
-    style), one level at a time.  The keys of a level whose children are not
-    yet recorded are expanded; then the level is walked in BFS order, each
-    new key's children are recorded, and the children not seen before make
-    up the next level.  A level is cut to the remaining max_vertices budget,
-    which counts every key taken from the queue, and max_seconds is checked
-    before each key of the walk.
+    style): take keys from a queue, record the children of each key not yet
+    expanded, and enqueue those not seen before.  max_vertices, which counts
+    every key taken, and max_seconds are checked before each key.
 
-    threads is the number of worker processes, capped at the CPUs this
-    process may use.  With more than one, a level with at least two keys to
-    expand runs on a fork pool, started at the first such level and ended
-    before this returns.  Recording stays in BFS order, so the store, the
-    result and the frontier are those of a serial run that stops at the
-    same key, and an expansion that raises does so after the same records.
+    threads worker processes, at most one per CPU, compute children ahead
+    of the loop once two keys wait to be expanded; none outlives the call.
+    Only the loop records, so the store, the result and the frontier are a
+    serial run's, and an expansion that raises does so after the same
+    records.  Returns Complete with the reachable vertex and edge counts, or
+    BudgetExhausted with the remaining frontier, each key once in BFS order."""
+    with _Prefetcher(store, threads) as ahead:
+        return _explore(store, start, max_vertices, max_seconds, ahead)
 
-    Returns Complete with the reachable vertex and edge counts, or
-    BudgetExhausted with the remaining frontier, each key once in BFS
-    order."""
-    if max_vertices <= 0 or max_seconds <= 0 or threads <= 0:
+
+def _explore(store, start, max_vertices, max_seconds, ahead: _Prefetcher):
+    """resolution_subgraph with a prefetcher that the caller keeps."""
+    if max_vertices <= 0 or max_seconds <= 0 or ahead.processes <= 0:
         raise InputError("budgets and thread count must be positive")
     start_key = vertex_key(store, start)
     deadline = time.monotonic() + max_seconds
-    seen = {start_key}
-    level = [start_key]
-    expanded = 0
-    with _Workers(threads) as workers:
-        while level:
-            if expanded >= max_vertices:
-                return BudgetExhausted(tuple(level), store.vertex_count(), store.edge_count())
-            cut = max_vertices - expanded
-            batch, level = level[:cut], level[cut:]
-            expanded += len(batch)
-            tasks = [
-                (store.mode, store.characteristic, key)
-                for key in batch
-                if not store.is_expanded(key)
-            ]
-            computed = workers.map(_children_task, tasks)
-            # Recording one key's children expands no other key of the batch,
-            # so the keys met unexpanded here are the tasks, in their order.
-            for i, key in enumerate(batch):
-                if time.monotonic() > deadline:
-                    # A serial queue holds the rest of the batch, then the
-                    # rest of the level, then the children enqueued so far.
-                    return BudgetExhausted(
-                        tuple(batch[i:]) + tuple(level), store.vertex_count(), store.edge_count()
-                    )
-                if store.is_expanded(key):
-                    children = store.children_of(key)
-                else:
-                    children = _record(store, key, next(computed))
-                for child in children:
-                    if child not in seen:
-                        seen.add(child)
-                        level.append(child)
-    reach_edges = sum(len(store._out[k]) for k in seen)
-    return Complete(len(seen), reach_edges)
+    queue, seen = deque([start_key]), {start_key: 0}
+    ahead.follow(queue, seen, max_vertices)
+    while queue:
+        if len(seen) - len(queue) >= max_vertices or time.monotonic() > deadline:
+            return BudgetExhausted(tuple(queue), store.vertex_count(), store.edge_count())
+        key = queue.popleft()
+        if store.is_expanded(key):
+            children = store.children_of(key)
+        else:
+            children = _record(store, key, ahead.children(key))
+        for child in children:
+            if child not in seen:
+                seen[child] = len(seen)
+                queue.append(child)
+    return Complete(len(seen), sum(len(store._out[k]) for k in seen))
 
 
 def _sccs(keys, out_edges) -> list[list[str]]:

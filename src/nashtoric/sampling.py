@@ -14,7 +14,7 @@ from .cones import Cone
 from .errors import InputError
 from .linalg import check_characteristic, rank
 from .semigroups import AffineSemigroup, minimal_generators
-from .digraph import MODES, Complete, DigraphStore, find_cycles, resolution_subgraph, vertex_key
+from .digraph import MODES, Complete, DigraphStore, _explore, _Prefetcher, find_cycles, vertex_key
 
 DISTRIBUTION = "uniform entries with rejection (pointed, full rank)"
 
@@ -89,10 +89,10 @@ def sample_random(
     store: DigraphStore | None = None,
 ) -> SampleSummary:
     """Explore `count` random rank-n cones (normalized mode) or semigroups
-    (nash mode); fully reproducible from the seed.  threads goes to
-    resolution_subgraph, which expands each object's wide levels on that
-    many worker processes; the store and the summary, but for the elapsed
-    time, are the same for every thread count."""
+    (nash mode); fully reproducible from the seed.  threads is the number
+    of worker processes that compute children ahead of each exploration,
+    started once for the whole call; the store and the summary, but for
+    the elapsed time, are the same for every thread count."""
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     if rank_ not in (2, 3, 4, 5):
@@ -121,27 +121,19 @@ def sample_random(
     if store is None:
         store = DigraphStore(mode, characteristic, rank_)
     start = time.monotonic()
-    for _ in range(count):
-        if mode == "nash":
-            obj = key = vertex_key(store, _random_semigroup(rng, rank_, entry_bound))
-        else:
-            # A second canonicalization, answered from the cone's cache, kept
-            # because perfbench's tracer self-test reads sampling.canonical_cone.
-            obj = _random_cone(rng, rank_, entry_bound)
-            key = canonical_cone(obj)[0].serialization
-        status = resolution_subgraph(
-            store,
-            obj,
-            max_vertices=max_vertices,
-            max_seconds=max_seconds,
-            threads=threads,
-        )
-        if isinstance(status, Complete):
-            summary.resolved += 1
-            summary.items.append((key, "resolved"))
-        else:
-            summary.budget_exhausted += 1
-            summary.items.append((key, "budget-exhausted"))
+    with _Prefetcher(store, threads) as ahead:
+        for _ in range(count):
+            if mode == "nash":
+                obj = key = vertex_key(store, _random_semigroup(rng, rank_, entry_bound))
+            else:
+                # A second canonicalization, answered from the cone's cache, kept
+                # because perfbench's tracer self-test reads sampling.canonical_cone.
+                obj = _random_cone(rng, rank_, entry_bound)
+                key = canonical_cone(obj)[0].serialization
+            done = isinstance(_explore(store, obj, max_vertices, max_seconds, ahead), Complete)
+            summary.items.append((key, "resolved" if done else "budget-exhausted"))
+    summary.resolved = sum(status == "resolved" for _, status in summary.items)
+    summary.budget_exhausted = count - summary.resolved
     summary.cycles_found = len(find_cycles(store))
     summary.store_vertices = store.vertex_count()
     summary.elapsed_seconds = round(time.monotonic() - start, 3)

@@ -1,11 +1,12 @@
 import hashlib
 import json
-import multiprocessing
 import itertools
-import multiprocessing.pool
+import multiprocessing
 import os
 import pickle
 import random
+import signal
+import time
 import types
 
 import pytest
@@ -23,6 +24,7 @@ from nashtoric import (
     DigraphStore,
     InputError,
     IntMatrix,
+    NashToricError,
     SearchCapExceeded,
     StoreError,
     canonical_cone,
@@ -628,17 +630,24 @@ class TestWriterAgainstJson:
 
 
 @pytest.fixture
-def pooled_levels(monkeypatch):
-    """The number of tasks of each level handed to a worker pool."""
-    widths = []
-    imap = multiprocessing.pool.Pool.imap
+def handoff(monkeypatch):
+    """The keys that prefetchers hand to worker processes, in order, and the
+    number of workers of each prefetcher that starts them."""
+    seen = types.SimpleNamespace(keys=[], workers=[])
+    prefetcher = nashtoric.digraph._Prefetcher
+    send, start = prefetcher._send, prefetcher._start
 
-    def spy(pool, fn, tasks, *args, **kwargs):
-        widths.append(len(tasks))
-        return imap(pool, fn, tasks, *args, **kwargs)
+    def spy_send(ahead, conn, key):
+        seen.keys.append(key)
+        send(ahead, conn, key)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", spy)
-    return widths
+    def spy_start(ahead):
+        start(ahead)
+        seen.workers.append(ahead.processes)
+
+    monkeypatch.setattr(prefetcher, "_send", spy_send)
+    monkeypatch.setattr(prefetcher, "_start", spy_start)
+    return seen
 
 
 def _run_saved(tmp_path, threads, mode, p, rank, start, **budget):
@@ -667,40 +676,69 @@ _POOL_CASES = {
 
 
 class TestPooledAgainstSerial:
-    """threads=2 expands each level with two or more new keys on worker
-    processes; the result, the frontier and the saved bytes must be a
-    serial run's, since the level is recorded in BFS order."""
+    """threads=2 computes children ahead of the BFS loop on worker processes,
+    once two keys wait to be expanded; the result, the frontier and the
+    saved bytes must be a serial run's, since only the loop records, in BFS
+    order."""
 
     @pytest.mark.parametrize("name", sorted(_POOL_CASES))
-    def test_same_saved_bytes(self, tmp_path, pooled_levels, name):
+    def test_same_saved_bytes(self, tmp_path, handoff, name):
         mode, p, rank, start, budget = _POOL_CASES[name]
         serial = _run_saved(tmp_path, 1, mode, p, rank, start(), **budget)
-        assert pooled_levels == []
+        assert handoff.keys == [] and handoff.workers == []
         assert _run_saved(tmp_path, 2, mode, p, rank, start(), **budget) == serial
-        # reeves_cone(3, j) for j <= 3 has no level with two new keys.
-        assert bool(pooled_levels) == (name not in ("reeves-3-1", "reeves-3-2", "reeves-3-3"))
+        # reeves_cone(3, j) for j <= 3 never has two keys waiting at once.
+        assert bool(handoff.keys) == (name not in ("reeves-3-1", "reeves-3-2", "reeves-3-3"))
 
-    def test_levels_cut_by_the_vertex_budget(self, tmp_path, pooled_levels):
+    def test_levels_cut_by_the_vertex_budget(self, tmp_path, handoff):
         # LOOP4 at p = 3 has BFS levels of 1, 4, 13, 15, 16 and 4 keys, so
         # most budgets below 31 cut a level in the middle.
         for max_vertices in range(1, 31):
             serial = _run_saved(
                 tmp_path, 1, "normalized", 3, 4, Cone(LOOP4_COLS), max_vertices=max_vertices
             )
+            before, starts = len(handoff.keys), len(handoff.workers)
             pooled = _run_saved(
                 tmp_path, 2, "normalized", 3, 4, Cone(LOOP4_COLS), max_vertices=max_vertices
             )
             assert isinstance(serial[0], BudgetExhausted)
             assert pooled == serial
-        # The level of 13 keys went to the pool cut to 2, 3, ..., 13 keys.
-        assert set(range(2, 14)) <= set(pooled_levels)
+            # Speculation is bounded: at most max_vertices + workers keys.
+            assert len(handoff.keys) - before <= max_vertices + sum(handoff.workers[starts:])
+        # The level of 13 keys went to the workers.
+        assert len(handoff.keys) >= 13
+
+    def test_speculation_past_a_slow_key_is_bounded(self, tmp_path, monkeypatch, handoff):
+        """While the loop waits on a slow first child of the start, the other
+        worker runs ahead; a run stopped by max_vertices = t still hands out
+        at most t + workers keys, and records what a serial run does."""
+        st = DigraphStore("normalized", 3, 4)
+        first = resolution_subgraph(st, Cone(LOOP4_COLS), max_vertices=1)
+        slow = next(key for key in first.frontier if key != st.epsilon)
+        compute = nashtoric.digraph._compute_children
+        serial = {
+            t: _run_saved(tmp_path, 1, "normalized", 3, 4, Cone(LOOP4_COLS), max_vertices=t)
+            for t in (3, 4, 7)
+        }
+
+        def slow_first_child(mode, p, key):
+            if key == slow:
+                time.sleep(0.5)
+            return compute(mode, p, key)
+
+        monkeypatch.setattr(nashtoric.digraph, "_compute_children", slow_first_child)
+        for t, want in serial.items():
+            before, starts = len(handoff.keys), len(handoff.workers)
+            pooled = _run_saved(tmp_path, 2, "normalized", 3, 4, Cone(LOOP4_COLS), max_vertices=t)
+            assert pooled == want
+            assert len(handoff.keys) - before <= t + sum(handoff.workers[starts:])
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_deadline_inside_a_level(self, tmp_path, monkeypatch, pooled_levels, threads):
+    def test_deadline_inside_a_level(self, tmp_path, monkeypatch, handoff, threads):
         """A clock that ticks once a reading passes max_seconds = t + 0.5 as
         the (t + 1)-th key is taken, where max_vertices = t stops a run: the
         same frontier and bytes, also where the deadline falls inside a
-        level that went whole to the pool."""
+        level whose keys went to the workers ahead of the loop."""
         for t in range(1, 31):
             ticks = itertools.count()
             with monkeypatch.context() as patched:
@@ -715,44 +753,74 @@ class TestPooledAgainstSerial:
             )
             assert isinstance(timed[0], BudgetExhausted)
             assert timed == budgeted
-        # The level of 13 keys went to the pool whole.
-        assert (13 in pooled_levels) == (threads == 2)
+        # The level of 13 keys went to the workers.
+        assert (len(handoff.keys) >= 13) == (threads == 2)
 
     @pytest.mark.parametrize(
         "threads, cpus, pools", [(100_000, 3, [3]), (2, 3, [2]), (100_000, 1, [])]
     )
-    def test_pool_size_is_capped_by_the_cpus(self, monkeypatch, threads, cpus, pools):
-        """A pool has no more workers than the CPUs this process may use, and
-        with one CPU there is none.  The pool is a stand-in that maps in this
-        process, so no worker process starts."""
-        started = []
-
-        class StandInPool:
-            def __init__(self, processes, *args, **kwargs):
-                started.append(processes)
-
-            def imap(self, fn, tasks):
-                return map(fn, tasks)
-
-            def terminate(self):
-                pass
-
-            def join(self):
-                pass
-
-        monkeypatch.setattr(multiprocessing.pool, "Pool", StandInPool)
+    def test_pool_size_is_capped_by_the_cpus(self, monkeypatch, handoff, threads, cpus, pools):
+        """A prefetcher starts no more workers than the CPUs this process may
+        use, and with one CPU none."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         status = resolution_subgraph(
             DigraphStore("normalized", 3, 4), Cone(LOOP4_COLS), threads=threads
         )
+        assert multiprocessing.active_children() == []
         assert status == resolution_subgraph(DigraphStore("normalized", 3, 4), Cone(LOOP4_COLS))
-        assert started == pools
+        assert handoff.workers == pools
 
-    def test_sample_keeps_its_store_digest(self, tmp_path, pooled_levels):
+    def test_a_killed_worker_raises_naming_its_key(self, monkeypatch, handoff):
+        """A task that SIGKILLs its own worker ends the run within seconds
+        with the package's error, naming a key that went to the workers, and
+        leaves no child process."""
+        parent, compute = os.getpid(), nashtoric.digraph._compute_children
+
+        def compute_or_die(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return compute(*args)
+
+        monkeypatch.setattr(nashtoric.digraph, "_compute_children", compute_or_die)
+        began = time.perf_counter()
+        with pytest.raises(NashToricError, match="worker process died") as info:
+            resolution_subgraph(DigraphStore("normalized", 3, 4), Cone(LOOP4_COLS), threads=2)
+        assert time.perf_counter() - began < 10
+        assert type(info.value) is NashToricError
+        assert any(repr(key) in str(info.value) for key in handoff.keys)
+        assert multiprocessing.active_children() == []
+
+    def test_deadline_does_not_wait_for_a_task_in_flight(self, tmp_path, monkeypatch, handoff):
+        """The clock of test_deadline_inside_a_level stops the run after the
+        start and its 4 children; the workers take keys of the next level
+        meanwhile, each of which sleeps a minute.  The run returns at once,
+        as a serial run with max_vertices = 5 would."""
+        budgeted = _run_saved(tmp_path, 1, "normalized", 3, 4, Cone(LOOP4_COLS), max_vertices=5)
+        asleep = set(budgeted[0].frontier)
+        compute = nashtoric.digraph._compute_children
+
+        def slow_next_level(mode, p, key):
+            if key in asleep:
+                time.sleep(60)
+            return compute(mode, p, key)
+
+        ticks = itertools.count()
+        monkeypatch.setattr(nashtoric.digraph, "_compute_children", slow_next_level)
+        monkeypatch.setattr(
+            nashtoric.digraph, "time", types.SimpleNamespace(monotonic=lambda: next(ticks))
+        )
+        began = time.perf_counter()
+        timed = _run_saved(tmp_path, 2, "normalized", 3, 4, Cone(LOOP4_COLS), max_seconds=5.5)
+        assert time.perf_counter() - began < 10
+        assert timed == budgeted
+        assert asleep & set(handoff.keys)
+
+    def test_sample_keeps_its_store_digest(self, tmp_path, handoff):
         st = DigraphStore("nash", 0, 2)
         run = sample_random(2, "nash", 60, 20260810, 4, threads=2, store=st)
         assert multiprocessing.active_children() == []
-        assert pooled_levels
+        # One prefetcher serves every object, and starts its workers once.
+        assert handoff.keys and len(handoff.workers) == 1
         assert (run.resolved, run.budget_exhausted, run.cycles_found) == (60, 0, 0)
         path = tmp_path / "sample.jsonl"
         st.save(path)
@@ -776,7 +844,7 @@ class TestPooledAgainstSerial:
         ],
     )
     def test_a_cap_error_crosses_the_pool_unchanged(
-        self, tmp_path, monkeypatch, pooled_levels, error, cap, mode, p, rank
+        self, tmp_path, monkeypatch, handoff, error, cap, mode, p, rank
     ):
         """A cap patched before the call is what the workers read; the first
         key in BFS order that trips it raises, after the same records.  The
@@ -804,7 +872,7 @@ class TestPooledAgainstSerial:
             runs.append((type(exc), exc.cap, str(exc), path.read_bytes()))
         assert runs[0] == runs[1]
         assert runs[0][1] == cap and runs[0][2].endswith(f"cap of {cap}")
-        # The serial run starts no pool, so these are the pooled run's
-        # levels; in every case the key that raises lies in level 1 or 2,
+        # The serial run starts no worker, so these are the pooled run's
+        # hand-offs; in every case the key that raises lies in level 1 or 2,
         # which have 4 and 13 keys for both starts.
-        assert pooled_levels
+        assert handoff.keys
