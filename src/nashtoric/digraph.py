@@ -4,25 +4,25 @@ A store holds each vertex once, as its canonical key, and the directed
 child edges.  A key spells out its canonical payload matrix: save and
 export_dot copy it from the key text, and only an expansion parses it.
 Exploration is the breadth-first resolution subgraph: one serial loop
-records each key's children in BFS order, worker processes may compute
-them ahead, and it stops when the reachable closure is complete or a
-budget runs out.  Stores round-trip through a JSON-lines file, which load
-reads in one pass in file order, and merge by set union when their
-metadata agree.
+records each key's children in BFS order, offers the keys it will take to
+worker processes that compute them ahead, and stops when the reachable
+closure is complete or a budget runs out.  Stores round-trip through a
+JSON-lines file, which load reads in one pass in file order, and merge by
+set union when their metadata agree.
 """
 
 import json
 import os
 import time
 from collections import deque
-from contextlib import AbstractContextManager
+from contextlib import AbstractContextManager, suppress
 from dataclasses import dataclass
 
 from .blowup import nash_children, normalized_nash_children
 from .canonical import CanonicalKey, canonical_cone, canonical_semigroup
 from .cones import Cone
 from .errors import InputError, NashToricError, StoreError
-from .linalg import IntMatrix, check_characteristic
+from .linalg import IntMatrix, check_characteristic, int_tuple
 from .semigroups import AffineSemigroup
 
 STORE_VERSION = 1
@@ -286,28 +286,25 @@ class BudgetExhausted:
 
 def _serve(conn, mode: str, characteristic: int) -> None:
     """A worker: answer each key with its children or its error until EOF."""
-    while True:
-        try:
+    with suppress(EOFError):
+        while True:
             key = conn.recv()
-        except EOFError:
-            return
-        try:
-            conn.send(_compute_children(mode, characteristic, key))
-        except Exception as exc:
-            conn.send(exc)
+            try:
+                conn.send(_compute_children(mode, characteristic, key))
+            except Exception as exc:
+                conn.send(exc)
 
 
 class _Prefetcher(AbstractContextManager):
     """Computes children ahead of the loop of _explore on `processes` forked
     workers, at most one per CPU, and hands a key's children over, or raises
-    its error, when the loop asks.  They start once the loop asks while
-    another unexpanded key waits, and read the package's globals as they
-    stood then.  Each has its own pipe and one key in flight at most, so no
-    lock is shared, a dead one shows as end of file, and exit kills them all.
-    An idle worker takes the key the loop waits for, then the queue's
-    unexpanded keys within the vertex budget, then children of results not
-    yet met, while fewer than `processes` of those are out: a run stopped by
-    max_vertices hands out at most max_vertices + `processes` keys."""
+    its error, when the loop asks.  Its one feed is offered, where the loop
+    appends in BFS order each unexpanded key it meets and will take; an idle
+    worker takes the key the loop waits for, then the offered keys not yet
+    sent.  Workers start once the loop asks while an offered key waits, and
+    read the package's globals as they stood then.  Each has its own pipe
+    and one key in flight at most, so no lock is shared, a dead one shows as
+    end of file, and exit kills them all."""
 
     def __init__(self, store: DigraphStore, processes: int):
         try:
@@ -316,19 +313,15 @@ class _Prefetcher(AbstractContextManager):
             cpus = os.cpu_count() or 1
         self.store = store
         self.processes = min(processes, cpus)
+        self.offered = deque()  # keys the loop will take, in BFS order
         self._workers = {}  # pipe -> its worker process
         self._busy = {}  # pipe -> its key in flight
         self._sent = {}  # key handed out -> its result, None while in flight
 
-    def follow(self, queue: deque, seen: dict, max_vertices: int) -> None:
-        """Serve a loop that takes up to max_vertices keys from queue, where
-        seen maps each key met to its place in BFS order."""
-        self._queue, self._seen, self._limit = queue, seen, max_vertices
-        self._scan, self._kids, self._risky = 0, deque(), set()
-
     def children(self, key: str) -> tuple[str, ...]:
         if not self._workers:
-            if self.processes == 1 or all(map(self.store.is_expanded, self._queue)):
+            if len(self.offered) < 2:  # key (none at the start), then those waiting
+                self.offered.clear()
                 return _compute_children(self.store.mode, self.store.characteristic, key)
             self._start()
         self._collect(0, key)
@@ -354,40 +347,17 @@ class _Prefetcher(AbstractContextManager):
 
     def _collect(self, timeout: float | None, want: str) -> None:
         """Feed idle workers, want first; keep results back within timeout (None: wait for one)."""
-        self._feed(want)
+        idle = [conn for conn in self._workers if conn not in self._busy]
+        while idle and (want not in self._sent or self.offered):
+            key = want if want not in self._sent else self.offered.popleft()
+            if key not in self._sent and not self.store.is_expanded(key):
+                self._send(idle.pop(), key)
         for conn in self._ready(list(self._busy), timeout):
             key = self._busy.pop(conn)
             try:
-                self._sent[key] = result = conn.recv()
+                self._sent[key] = conn.recv()
             except EOFError:
                 raise NashToricError(f"a worker process died expanding {key!r}") from None
-            if not isinstance(result, Exception):
-                self._kids.extend(result)
-
-    def _feed(self, want: str) -> None:
-        queue, seen, sent, limit = self._queue, self._seen, self._sent, self._limit
-        taken = len(seen) - len(queue)
-        self._scan = max(self._scan, taken)
-        idle = [conn for conn in self._workers if conn not in self._busy]
-        while idle:
-            if want not in sent:
-                key = want
-            elif self._scan < min(len(seen), limit):
-                key = queue[self._scan - taken]
-                self._scan += 1
-                self._kids.clear()  # the scan meets them in the queue
-                if key in sent or self.store.is_expanded(key):
-                    continue
-            else:
-                # Out and not met within the budget: what may go to waste.
-                self._risky = {k for k in self._risky if k in sent and seen.get(k, limit) >= limit}
-                if not self._kids or len(self._risky) >= self.processes:
-                    return
-                key = self._kids.popleft()
-                if key in seen or key in sent or self.store.is_expanded(key):
-                    continue
-                self._risky.add(key)
-            self._send(idle.pop(), key)
 
     def _send(self, conn, key: str) -> None:
         conn.send(key)
@@ -400,6 +370,12 @@ class _Prefetcher(AbstractContextManager):
             worker.join()
             worker.close()
             conn.close()
+
+
+def check_budgets(max_vertices: int, max_seconds: float, threads: int) -> None:
+    """Raise InputError unless max_vertices and threads are integers and all three are positive."""
+    if min(int_tuple((max_vertices, threads))) <= 0 or not max_seconds > 0:
+        raise InputError("budgets and thread count must be positive")
 
 
 def resolution_subgraph(
@@ -415,24 +391,24 @@ def resolution_subgraph(
     expanded, and enqueue those not seen before.  max_vertices, which counts
     every key taken, and max_seconds are checked before each key.
 
-    threads worker processes, at most one per CPU, compute children ahead
-    of the loop once two keys wait to be expanded; none outlives the call.
-    Only the loop records, so the store, the result and the frontier are a
-    serial run's, and an expansion that raises does so after the same
-    records.  Returns Complete with the reachable vertex and edge counts, or
-    BudgetExhausted with the remaining frontier, each key once in BFS order."""
+    threads worker processes, at most one per CPU, compute ahead of the loop
+    the children of keys it will take, once two such keys wait, and none
+    outlives the call.  Only the loop records, so the store, the result and
+    the frontier are a serial run's, and an expansion that raises does so
+    after the same records.  Returns Complete with the reachable vertex and
+    edge counts, or BudgetExhausted with the frontier in BFS order, each key once."""
+    check_budgets(max_vertices, max_seconds, threads)
     with _Prefetcher(store, threads) as ahead:
         return _explore(store, start, max_vertices, max_seconds, ahead)
 
 
 def _explore(store, start, max_vertices, max_seconds, ahead: _Prefetcher):
-    """resolution_subgraph with a prefetcher that the caller keeps."""
-    if max_vertices <= 0 or max_seconds <= 0 or ahead.processes <= 0:
-        raise InputError("budgets and thread count must be positive")
+    """resolution_subgraph, its budgets checked, with the caller's prefetcher."""
     start_key = vertex_key(store, start)
     deadline = time.monotonic() + max_seconds
-    queue, seen = deque([start_key]), {start_key: 0}
-    ahead.follow(queue, seen, max_vertices)
+    queue, seen = deque([start_key]), {start_key}
+    ahead.offered.clear()
+    offer = ahead.offered.append if ahead.processes > 1 else None
     while queue:
         if len(seen) - len(queue) >= max_vertices or time.monotonic() > deadline:
             return BudgetExhausted(tuple(queue), store.vertex_count(), store.edge_count())
@@ -443,7 +419,10 @@ def _explore(store, start, max_vertices, max_seconds, ahead: _Prefetcher):
             children = _record(store, key, ahead.children(key))
         for child in children:
             if child not in seen:
-                seen[child] = len(seen)
+                # len(seen) is the child's place in BFS order.
+                if offer and len(seen) < max_vertices and not store.is_expanded(child):
+                    offer(child)
+                seen.add(child)
                 queue.append(child)
     return Complete(len(seen), sum(len(store._out[k]) for k in seen))
 

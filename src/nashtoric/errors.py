@@ -17,30 +17,29 @@ class NotFullRankError(NashToricError, ValueError):
     """An operation that requires full rank received a degenerate input."""
 
 
-class BasisCapExceeded(NashToricError, RuntimeError):
+class CapExceeded(NashToricError, RuntimeError):
+    """A count exceeded its configured cap, .cap; a subclass names the count in `counted`."""
+
+    def __init__(self, cap: int):
+        super().__init__(f"{self.counted} exceeded the cap of {cap}")
+        self.cap = cap
+
+    def __reduce__(self):
+        # Rebuilt from cap, as when it returns from a worker process; the
+        # default would pass the message to __init__ as the cap.
+        return type(self), (self.cap,)
+
+
+class BasisCapExceeded(CapExceeded):
     """The number of linear bases exceeded the configured cap."""
 
-    def __init__(self, cap: int):
-        super().__init__(f"number of linear bases exceeded the cap of {cap}")
-        self.cap = cap
-
-    def __reduce__(self):
-        # Rebuilt from cap, as when it returns from a worker process; the
-        # default would pass the message to __init__ as the cap.
-        return type(self), (self.cap,)
+    counted = "number of linear bases"
 
 
-class SearchCapExceeded(NashToricError, RuntimeError):
+class SearchCapExceeded(CapExceeded):
     """The canonical search placed more columns than the configured cap."""
 
-    def __init__(self, cap: int):
-        super().__init__(f"canonical search nodes exceeded the cap of {cap}")
-        self.cap = cap
-
-    def __reduce__(self):
-        # Rebuilt from cap, as when it returns from a worker process; the
-        # default would pass the message to __init__ as the cap.
-        return type(self), (self.cap,)
+    counted = "canonical search nodes"
 
 
 class StoreError(NashToricError, ValueError):

@@ -14,7 +14,8 @@ from .cones import Cone
 from .errors import InputError
 from .linalg import check_characteristic, rank
 from .semigroups import AffineSemigroup, minimal_generators
-from .digraph import MODES, Complete, DigraphStore, _explore, _Prefetcher, find_cycles, vertex_key
+from .digraph import MODES, Complete, DigraphStore, _explore, _Prefetcher, check_budgets
+from .digraph import find_cycles, vertex_key
 
 DISTRIBUTION = "uniform entries with rejection (pointed, full rank)"
 
@@ -89,10 +90,11 @@ def sample_random(
     store: DigraphStore | None = None,
 ) -> SampleSummary:
     """Explore `count` random rank-n cones (normalized mode) or semigroups
-    (nash mode); fully reproducible from the seed.  threads is the number
-    of worker processes that compute children ahead of each exploration,
-    started once for the whole call; the store and the summary, but for
-    the elapsed time, are the same for every thread count."""
+    (nash mode); fully reproducible from the seed.  threads worker processes,
+    started once for the whole call, compute the children of the keys that
+    each exploration offers, all keys it will take; the store and the
+    summary, but for the elapsed time, are the same for every thread count."""
+    check_budgets(max_vertices, max_seconds, threads)
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     if rank_ not in (2, 3, 4, 5):

@@ -650,6 +650,12 @@ def handoff(monkeypatch):
     return seen
 
 
+def _expanded(saved: bytes) -> set[str]:
+    """The keys that a saved store expanded: the sources of its edges."""
+    records = map(json.loads, saved.splitlines())
+    return {rec["from"] for rec in records if rec["kind"] == "edge"}
+
+
 def _run_saved(tmp_path, threads, mode, p, rank, start, **budget):
     """The result and the saved bytes of one exploration from a new store;
     no worker process may outlive it."""
@@ -697,21 +703,23 @@ class TestPooledAgainstSerial:
             serial = _run_saved(
                 tmp_path, 1, "normalized", 3, 4, Cone(LOOP4_COLS), max_vertices=max_vertices
             )
-            before, starts = len(handoff.keys), len(handoff.workers)
+            before = len(handoff.keys)
             pooled = _run_saved(
                 tmp_path, 2, "normalized", 3, 4, Cone(LOOP4_COLS), max_vertices=max_vertices
             )
             assert isinstance(serial[0], BudgetExhausted)
             assert pooled == serial
-            # Speculation is bounded: at most max_vertices + workers keys.
-            assert len(handoff.keys) - before <= max_vertices + sum(handoff.workers[starts:])
+            # No speculation: only keys that the serial run expands go out.
+            assert len(handoff.keys) - before <= max_vertices
+            assert set(handoff.keys[before:]) <= _expanded(serial[1])
         # The level of 13 keys went to the workers.
         assert len(handoff.keys) >= 13
 
     def test_speculation_past_a_slow_key_is_bounded(self, tmp_path, monkeypatch, handoff):
         """While the loop waits on a slow first child of the start, the other
         worker runs ahead; a run stopped by max_vertices = t still hands out
-        at most t + workers keys, and records what a serial run does."""
+        at most t keys, each one that a serial run expands, and records what
+        a serial run does."""
         st = DigraphStore("normalized", 3, 4)
         first = resolution_subgraph(st, Cone(LOOP4_COLS), max_vertices=1)
         slow = next(key for key in first.frontier if key != st.epsilon)
@@ -728,10 +736,11 @@ class TestPooledAgainstSerial:
 
         monkeypatch.setattr(nashtoric.digraph, "_compute_children", slow_first_child)
         for t, want in serial.items():
-            before, starts = len(handoff.keys), len(handoff.workers)
+            before = len(handoff.keys)
             pooled = _run_saved(tmp_path, 2, "normalized", 3, 4, Cone(LOOP4_COLS), max_vertices=t)
             assert pooled == want
-            assert len(handoff.keys) - before <= t + sum(handoff.workers[starts:])
+            assert len(handoff.keys) - before <= t
+            assert set(handoff.keys[before:]) <= _expanded(want[1])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_deadline_inside_a_level(self, tmp_path, monkeypatch, handoff, threads):
@@ -827,6 +836,22 @@ class TestPooledAgainstSerial:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "8c84f4a7d36e61168c955788e4c47650dd716acb8f9189786eb3348a62497ea2"
         )
+
+    def test_a_budgeted_sample_hands_out_only_keys_it_expands(self, tmp_path, handoff):
+        """16 of these 20 objects stop on max_vertices; with 2 workers the
+        store is the serial one, and every key handed out is one that the
+        serial run expands."""
+        saved = []
+        for threads in (1, 2):
+            st = DigraphStore("nash", 0, 2)
+            run = sample_random(2, "nash", 20, 20260810, 4, max_vertices=5, threads=threads, store=st)
+            assert multiprocessing.active_children() == []
+            assert (run.resolved, run.budget_exhausted) == (4, 16)
+            path = tmp_path / f"threads{threads}.jsonl"
+            st.save(path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+        assert handoff.keys and set(handoff.keys) <= _expanded(saved[0])
 
     @pytest.mark.parametrize("error", [BasisCapExceeded(7), SearchCapExceeded(7)])
     def test_cap_errors_unpickle_to_themselves(self, error):
