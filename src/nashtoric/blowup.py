@@ -33,7 +33,7 @@ from .cones import Cone
 from .errors import BasisCapExceeded, InputError, NotFullRankError, NotPointedError
 from .linalg import Vector, adjugate, check_characteristic, dot, independent
 from .linalg import make_primitive, vec_sub
-from .semigroups import AffineSemigroup, _minimalize, hilbert_basis
+from .semigroups import AffineSemigroup, _minimalize, facet_values, hilbert_basis
 
 DEFAULT_BASIS_CAP = 10**6
 
@@ -67,7 +67,7 @@ def _vertex_charts(
     crossed: set[tuple[Vector, Vector]] = set()
     # g - h lies in C iff no facet value of g is below the one of h.  As H
     # generates C, h spans a ray of C iff no g in H is tight at more facets.
-    values = {h: tuple(dot(f, h) for f in C.facet_normals) for h in H}
+    values = facet_values(H, C.facet_normals)
     tight = {h: frozenset(i for i, x in enumerate(values[h]) if not x) for h in H}
     rays = [h for h in H if not any(tight[h] < tight[g] for g in H)]
     while todo:

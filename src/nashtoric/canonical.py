@@ -31,8 +31,8 @@ transform of a unimodular cone, counts against DEFAULT_SEARCH_CAP, read
 at call time; past it the search raises SearchCapExceeded.
 
 A semigroup key applies every optimal cone transform to the Hilbert basis,
-sorts the columns lexicographically, and keeps the least such matrix, so
-hull automorphisms cannot split an equivalence class.
+sorts the columns lexicographically, and keeps the least such matrix in
+row-major order, so hull automorphisms cannot split an equivalence class.
 """
 
 from dataclasses import dataclass
@@ -231,14 +231,8 @@ def canonical_semigroup(S: AffineSemigroup) -> CanonicalKey:
     if cached is not None:
         return cached
     _, us = _canonical_cone_data(S.hull)
-    best = None
-    for U in us:
-        image = sorted(tuple(dot(row, g) for row in U) for g in S.generators)
-        M = IntMatrix.from_columns(image)
-        key = tuple(x for row in M.data for x in row)
-        if best is None or key < best[0]:
-            best = (key, M)
-    result = CanonicalKey.from_matrix(best[1])
+    images = (sorted(tuple(dot(row, g) for row in U) for g in S.generators) for U in us)
+    result = CanonicalKey.from_matrix(IntMatrix.from_columns(min(images, key=_row_major)))
     S._cache["canonical"] = result
     return result
 

@@ -5,6 +5,10 @@ separated, '#' comments); columns are the generators.  By default an
 input matrix describes a cone sigma-dual in M (or, in nash mode, the
 generators of a semigroup in M); pass --side N when the matrix lists
 generators of sigma in N instead.
+
+Every command reads MATRIX through _read, prints vectors through _columns
+(the JSON lists and the text matrix at once) and keys vertices through
+digraph._key, as the explorer does.
 """
 
 import json
@@ -21,11 +25,11 @@ from .blowup import (
     normalized_nash_children,
     reeves_cone,
 )
-from .canonical import canonical_cone, canonical_semigroup
 from .cones import Cone
 from .digraph import (
     Complete,
     DigraphStore,
+    _key,
     export_dot,
     find_cycles,
     resolution_subgraph,
@@ -36,25 +40,22 @@ from .sampling import sample_random
 from .semigroups import hilbert_basis, minimal_generators
 
 
-def _read_matrix(path: str) -> IntMatrix:
-    if path == "-":
-        return parse_matrix(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
-
-
-def _cone_in_M(matrix: IntMatrix, side: str) -> Cone:
+def _read(path: str, side: str, mode: str = "normalized"):
+    """The vertex that the columns of the MATRIX at path (stdin for "-")
+    give: the semigroup they generate (nash mode) or the cone in M."""
+    with click.open_file(path, encoding="utf-8") as fh:
+        matrix = parse_matrix(fh.read())
+    if mode == "nash":
+        if side == "N":
+            raise NashToricError("nash mode takes semigroup generators in M")
+        return minimal_generators(matrix.columns())
     cone = Cone(matrix)
     return cone.dual() if side == "N" else cone
 
 
-def _start_vertex(matrix: IntMatrix, side: str, mode: str):
-    """The semigroup (nash mode) or the cone in M that the columns give."""
-    if mode != "nash":
-        return _cone_in_M(matrix, side)
-    if side == "N":
-        raise NashToricError("nash mode takes semigroup generators in M")
-    return minimal_generators(matrix.columns())
+def _columns(vectors) -> tuple[list, str]:
+    """vectors as JSON lists and as the text matrix with them as columns."""
+    return [list(v) for v in vectors], format_matrix(IntMatrix.from_columns(vectors))
 
 
 def _emit(as_json: bool, payload: dict, human: str) -> None:
@@ -72,7 +73,7 @@ def _load_or_create_store(path, mode, char, rank) -> DigraphStore:
                 f"store at {path} has mode={store.mode} characteristic="
                 f"{store.characteristic}; flags disagree"
             )
-        if rank is not None and store.rank != rank:
+        if store.rank != rank:
             raise NashToricError(f"store rank {store.rank} != input rank {rank}")
         return store
     return DigraphStore(mode, char, rank)
@@ -120,13 +121,12 @@ def main():
 @json_opt
 def hilbert(matrix_file, side, as_json):
     """Hilbert basis of the cone generated by the columns of MATRIX."""
-    C = _cone_in_M(_read_matrix(matrix_file), side)
-    basis = hilbert_basis(C)
-    M = IntMatrix.from_columns(basis)
+    basis = hilbert_basis(_read(matrix_file, side))
+    lists, text = _columns(basis)
     _emit(
         as_json,
-        {"count": len(basis), "basis_columns": [list(b) for b in basis]},
-        f"# {len(basis)} elements (columns)\n{format_matrix(M)}",
+        {"count": len(basis), "basis_columns": lists},
+        f"# {len(basis)} elements (columns)\n{text}",
     )
 
 
@@ -135,14 +135,8 @@ def hilbert(matrix_file, side, as_json):
 @json_opt
 def dual(matrix_file, as_json):
     """Extreme rays of the dual cone (columns)."""
-    C = Cone(_read_matrix(matrix_file))
-    D = C.dual()
-    M = IntMatrix.from_columns(D.rays)
-    _emit(
-        as_json,
-        {"rays": [list(r) for r in D.rays]},
-        format_matrix(M),
-    )
+    lists, text = _columns(_read(matrix_file, "N").rays)
+    _emit(as_json, {"rays": lists}, text)
 
 
 @main.command()
@@ -159,8 +153,7 @@ def dual(matrix_file, as_json):
 def canon(matrix_file, side, as_json, kind):
     """Canonical key modulo unimodular equivalence."""
     mode = "nash" if kind == "semigroup" else "normalized"
-    start = _start_vertex(_read_matrix(matrix_file), side, mode)
-    key = canonical_semigroup(start) if mode == "nash" else canonical_cone(start)[0]
+    key = _key(_read(matrix_file, side, mode))
     _emit(
         as_json,
         {"key": key.serialization, "matrix": key.matrix.to_lists()},
@@ -176,24 +169,19 @@ def canon(matrix_file, side, as_json, kind):
 @json_opt
 def children(matrix_file, side, mode, characteristic, as_json):
     """One blowup step: the children of the cone or semigroup."""
-    start = _start_vertex(_read_matrix(matrix_file), side, mode)
+    start = _read(matrix_file, side, mode)
     if mode == "nash":
-        kids = nash_children(start, characteristic)
-        keys = [canonical_semigroup(k).serialization for k in kids]
-        cols = [[list(g) for g in k.generators] for k in kids]
+        kids = [(k, k.generators) for k in nash_children(start, characteristic)]
     else:
-        kids = normalized_nash_children(start, characteristic)
-        keys = [canonical_cone(k)[0].serialization for k in kids]
-        cols = [[list(r) for r in k.rays] for k in kids]
+        kids = [(k, k.rays) for k in normalized_nash_children(start, characteristic)]
     human = [f"# {len(kids)} children"]
-    for key, c in zip(keys, cols):
-        human.append(f"## {key}")
-        human.append(format_matrix(IntMatrix.from_columns(c)))
-    _emit(
-        as_json,
-        {"count": len(kids), "children": [{"key": k, "columns": c} for k, c in zip(keys, cols)]},
-        "\n".join(human),
-    )
+    listed = []
+    for kid, vectors in kids:
+        key = _key(kid).serialization
+        lists, text = _columns(vectors)
+        human += [f"## {key}", text]
+        listed.append({"key": key, "columns": lists})
+    _emit(as_json, {"count": len(kids), "children": listed}, "\n".join(human))
 
 
 @main.command()
@@ -203,20 +191,14 @@ def children(matrix_file, side, mode, characteristic, as_json):
 @json_opt
 def subdivide(matrix_file, side, characteristic, as_json):
     """Nash subdivision of sigma in N (maximal cones of the normal fan)."""
-    matrix = _read_matrix(matrix_file)
-    cone = Cone(matrix)
-    sigma = cone if side == "N" else cone.dual()
-    fan = nash_subdivision(sigma, characteristic)
+    sigma = _read(matrix_file, "M" if side == "N" else "N")
+    fan = [_columns(piece.rays) for piece in nash_subdivision(sigma, characteristic)]
     human = [f"# {len(fan)} maximal cones"]
-    for piece in fan:
-        human.append("##")
-        human.append(format_matrix(IntMatrix.from_columns(piece.rays)))
+    for _, text in fan:
+        human += ["##", text]
     _emit(
         as_json,
-        {
-            "count": len(fan),
-            "maximal_cones": [[list(r) for r in piece.rays] for piece in fan],
-        },
+        {"count": len(fan), "maximal_cones": [lists for lists, _ in fan]},
         "\n".join(human),
     )
 
@@ -232,7 +214,7 @@ def subdivide(matrix_file, side, characteristic, as_json):
 @click.option("--max-seconds", type=float, default=86400.0, show_default=True)
 def explore(matrix_file, side, mode, characteristic, as_json, store_path, max_vertices, max_seconds):
     """Breadth-first resolution subgraph of the input vertex."""
-    start = _start_vertex(_read_matrix(matrix_file), side, mode)
+    start = _read(matrix_file, side, mode)
     store = _load_or_create_store(store_path, mode, characteristic, start.ambient_rank)
     status = resolution_subgraph(
         store,
@@ -283,9 +265,7 @@ def cycles(store_path, max_report, as_json):
 @json_opt
 def analyze(matrix_file, side, as_json):
     """Singularity report of the cone generated by the columns of MATRIX."""
-    C = _cone_in_M(_read_matrix(matrix_file), side)
-    report = analyze_cone(C)
-    d = report.to_dict()
+    d = analyze_cone(_read(matrix_file, side)).to_dict()
     human = "\n".join(f"{k}: {v}" for k, v in d.items())
     _emit(as_json, d, human)
 
@@ -296,9 +276,8 @@ def analyze(matrix_file, side, as_json):
 @json_opt
 def reeves(rank, j, as_json):
     """Generator matrix of the Reeves cone (columns)."""
-    C = reeves_cone(rank, j)
-    M = IntMatrix.from_columns(C.generators)
-    _emit(as_json, {"columns": [list(c) for c in C.generators]}, format_matrix(M))
+    lists, text = _columns(reeves_cone(rank, j).generators)
+    _emit(as_json, {"columns": lists}, text)
 
 
 @main.command()
@@ -323,14 +302,13 @@ def sample(mode, characteristic, as_json, rank, count, seed, entry_bound, max_ve
         max_vertices=max_vertices,
         max_seconds=max_seconds,
     )
-    d = summary.to_dict()
     human = (
         f"sampled {summary.count} (mode={summary.mode}, p={summary.characteristic}, "
         f"rank={summary.rank}, seed={summary.seed}, bound={summary.entry_bound}): "
         f"{summary.resolved} resolved, {summary.budget_exhausted} budget-exhausted, "
         f"{summary.cycles_found} cycles"
     )
-    _emit(as_json, d, human)
+    _emit(as_json, summary.to_dict(), human)
 
 
 @main.command(name="export-dot")

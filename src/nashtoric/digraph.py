@@ -17,6 +17,7 @@ import time
 from collections import deque
 from contextlib import AbstractContextManager, suppress
 from dataclasses import dataclass
+from numbers import Real
 
 from .blowup import nash_children, normalized_nash_children
 from .canonical import CanonicalKey, canonical_cone, canonical_semigroup
@@ -373,8 +374,10 @@ class _Prefetcher(AbstractContextManager):
 
 
 def check_budgets(max_vertices: int, max_seconds: float, threads: int) -> None:
-    """Raise InputError unless max_vertices and threads are integers and all three are positive."""
-    if min(int_tuple((max_vertices, threads))) <= 0 or not max_seconds > 0:
+    """Raise InputError unless max_vertices and threads are integers,
+    max_seconds is a real number, and all three are positive."""
+    seconds_ok = isinstance(max_seconds, Real) and max_seconds > 0
+    if min(int_tuple((max_vertices, threads))) <= 0 or not seconds_ok:
         raise InputError("budgets and thread count must be positive")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .canonical import canonical_cone
 from .cones import Cone
 from .errors import InputError
-from .linalg import check_characteristic, rank
+from .linalg import check_characteristic, int_tuple, rank
 from .semigroups import AffineSemigroup, minimal_generators
 from .digraph import MODES, Complete, DigraphStore, _explore, _Prefetcher, check_budgets
 from .digraph import find_cycles, vertex_key
@@ -95,6 +95,7 @@ def sample_random(
     each exploration offers, all keys it will take; the store and the
     summary, but for the elapsed time, are the same for every thread count."""
     check_budgets(max_vertices, max_seconds, threads)
+    rank_, count, entry_bound = int_tuple((rank_, count, entry_bound))
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     if rank_ not in (2, 3, 4, 5):

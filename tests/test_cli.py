@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import nashtoric
 from nashtoric import DigraphStore, export_dot
 from nashtoric.cli import main
 
@@ -203,3 +208,23 @@ def test_error_exit_code_and_line(runner, tmp_path):
     assert r.exit_code == 2
     combined = r.output + (r.stderr if r.stderr_bytes else "")
     assert "error:" in combined
+
+
+def _run_process(*args, stdin):
+    """python -m nashtoric.cli in a child process, with this package first
+    on its path; CliRunner mixes the two streams, a real process does not."""
+    src = str(Path(nashtoric.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "nashtoric.cli", *args],
+        input=stdin, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_real_process_keys_stdin_and_errors_to_stderr():
+    ok = _run_process("canon", "-", stdin="1 3\n0 5\n")
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "2 x 2: 1,3,0,5\n", "")
+    bad = _run_process("canon", "-", stdin="1 junk\n")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: line 1:")

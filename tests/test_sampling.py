@@ -46,3 +46,29 @@ def test_fractional_thread_count_rejected_by_the_explorer():
     with pytest.raises(InputError):
         resolution_subgraph(st, Cone(LOOP4_COLS), threads=2.5)
     assert st.vertex_count() == 1
+
+
+NON_INTEGERS = [
+    ("rank_", 2.0),
+    ("count", 2.5),
+    ("entry_bound", 2.5),
+    ("max_seconds", "5"),
+]
+
+
+@pytest.mark.parametrize("name, value", NON_INTEGERS)
+def test_non_integer_input_rejected_before_any_draw(name, value):
+    st = DigraphStore("nash", 0, 2)
+    before = (set(st.vertices), st.edges)
+    args = {"rank_": 2, "mode": "nash", "count": 1, "seed": 5, "entry_bound": 3}
+    with pytest.raises(InputError):
+        sample_random(**{**args, name: value}, store=st)
+    assert (set(st.vertices), st.edges) == before
+
+
+def test_non_real_time_budget_rejected_by_the_explorer():
+    st = DigraphStore("normalized", 3, 4)
+    before = (set(st.vertices), st.edges)
+    with pytest.raises(InputError):
+        resolution_subgraph(st, Cone(LOOP4_COLS), max_seconds="5")
+    assert (set(st.vertices), st.edges) == before
