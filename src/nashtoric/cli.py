@@ -76,10 +76,16 @@ def _load_or_create_store(path, mode, char, rank) -> DigraphStore:
         if store.rank != rank:
             raise NashToricError(f"store rank {store.rank} != input rank {rank}")
         return store
+    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise NashToricError(f"cannot write the store {path}: no such directory")
     return DigraphStore(mode, char, rank)
 
 
-matrix_arg = click.argument("matrix_file", metavar="MATRIX")
+matrix_arg = click.argument(
+    "matrix_file",
+    metavar="MATRIX",
+    type=click.Path(exists=True, dir_okay=False, allow_dash=True),
+)
 side_opt = click.option(
     "--side",
     type=click.Choice(["M", "N"]),

@@ -39,6 +39,11 @@ def _normalize_columns(generators) -> tuple[Vector, ...]:
     return tuple(sorted(set(out)))
 
 
+def _combine(a: int, u: Vector, b: int, v: Vector) -> Vector:
+    """The primitive vector along a * u - b * v."""
+    return make_primitive([a * x - b * y for x, y in zip(u, v)])
+
+
 def dual_description(
     ineq_rows: Iterable[Sequence[int]], n: int
 ) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
@@ -56,61 +61,34 @@ def dual_description(
     are split by sign and adjacent (+,-) pairs are combined; adjacency is
     the usual combinatorial test on sets of tight inequalities.
     """
-    rows = []
-    seen = set()
+    rows = set()
     for a in ineq_rows:
         t = int_tuple(a)
         if len(t) != n:
             raise InputError("inequality row has wrong length")
-        if not any(t):
-            continue
-        t = make_primitive(t)
-        if t not in seen:
-            seen.add(t)
-            rows.append(t)
+        if any(t):
+            rows.add(make_primitive(t))
     # Degeneracy-robust insertion order: few nonzero entries first.
-    rows.sort(key=lambda t: (sum(1 for x in t if x), t))
+    rows = sorted(rows, key=lambda t: (sum(1 for x in t if x), t))
 
     lineality = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     rays: list[tuple[Vector, int]] = []  # (vector, tight bitmask)
 
     for k, a in enumerate(rows):
+        bit = 1 << k
         evals = [dot(a, l) for l in lineality]
         if any(evals):
-            idx = min(
-                (i for i, e in enumerate(evals) if e), key=lambda i: abs(evals[i])
-            )
-            pivot = lineality[idx]
-            ev_p = evals[idx]
+            idx = min((abs(e), i) for i, e in enumerate(evals) if e)[1]
+            pivot, ev_p = lineality.pop(idx), evals.pop(idx)
             if ev_p < 0:
-                pivot = tuple(-x for x in pivot)
-                ev_p = -ev_p
-            new_lin = []
-            for i, l in enumerate(lineality):
-                if i == idx:
-                    continue
-                e = dot(a, l)
-                if e == 0:
-                    new_lin.append(l)
-                else:
-                    new_lin.append(
-                        make_primitive(
-                            tuple(ev_p * x - e * y for x, y in zip(l, pivot))
-                        )
-                    )
-            new_rays = []
-            for v, mask in rays:
+                pivot, ev_p = tuple(-x for x in pivot), -ev_p
+            lineality = [
+                _combine(ev_p, l, e, pivot) if e else l for l, e in zip(lineality, evals)
+            ]
+            for i, (v, m) in enumerate(rays):
                 e = dot(a, v)
-                if e == 0:
-                    new_rays.append((v, mask | (1 << k)))
-                else:
-                    w = make_primitive(
-                        tuple(ev_p * x - e * y for x, y in zip(v, pivot))
-                    )
-                    new_rays.append((w, mask | (1 << k)))
-            new_rays.append((pivot, (1 << k) - 1))
-            lineality = new_lin
-            rays = new_rays
+                rays[i] = (_combine(ev_p, v, e, pivot) if e else v, m | bit)
+            rays.append((pivot, bit - 1))
             continue
 
         plus, zero, minus = [], [], []
@@ -119,28 +97,18 @@ def dual_description(
             if e > 0:
                 plus.append((v, mask, e))
             elif e == 0:
-                zero.append((v, mask | (1 << k)))
+                zero.append((v, mask | bit))
             else:
                 minus.append((v, mask, e))
-        if not minus:
-            rays = [(v, m) for v, m, _ in plus] + zero
-            continue
         combos = []
         for vp, mp, ep in plus:
             for vm, mm, em in minus:
                 common = mp & mm
-                adjacent = True
                 for v, m in rays:
-                    if v is vp or v is vm:
-                        continue
-                    if common & m == common:
-                        adjacent = False
+                    if common & m == common and v is not vp and v is not vm:
                         break
-                if adjacent:
-                    w = make_primitive(
-                        tuple(ep * x - em * y for x, y in zip(vm, vp))
-                    )
-                    combos.append((w, common | (1 << k)))
+                else:
+                    combos.append((_combine(ep, vm, em, vp), common | bit))
         rays = [(v, m) for v, m, _ in plus] + zero + combos
 
     lin_out: tuple[Vector, ...] = ()
@@ -184,12 +152,7 @@ class Cone:
 
     def _dual_data(self):
         """(equalities, facet_rows): the cone is {x : F x >= 0, E x = 0}."""
-
-        def compute():
-            lin, facet_rays = dual_description(self._gens, self._n)
-            return lin, facet_rays
-
-        return self._cached("dual", compute)
+        return self._cached("dual", lambda: dual_description(self._gens, self._n))
 
     @property
     def facet_normals(self) -> tuple[Vector, ...]:

@@ -68,6 +68,7 @@ class DigraphStore:
     def __init__(self, mode: str, characteristic: int, rank: int):
         if mode not in MODES:
             raise StoreError(f"unknown mode {mode!r}")
+        (rank,) = int_tuple((rank,))
         if rank < 1:
             raise StoreError("rank must be >= 1")
         self.mode = mode

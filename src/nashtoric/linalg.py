@@ -8,13 +8,14 @@ The Hermite normal form convention is row-style: each row's pivot (first
 nonzero entry) lies strictly to the right of the pivot above, pivots are
 positive, and entries above a pivot are nonnegative and strictly smaller
 than the pivot.  hnf_reduce computes one column of it from the column's
-image u = U * col under the transform U of the earlier columns, and
-hnf_column_step forms that image first.  The column step has two more
-uses, so the convention behind canonical keys lives here alone: the
+image u = U * col under the transform U of the earlier columns.  One
+loop, _hnf_rows, reduces rows in place with it, each column of the rows
+its own u: hermite_normal_form reduces [A | I] over the columns of A to
+[H | U], and lattice_basis_of_columns the generators as rows.  The
 canonical-form search of canonical.py forms each u once, previews its
 row-0 entry with hnf_top_entry (all the search's bound needs to reject a
-column) and places it with hnf_reduce; lattice_basis_of_columns reduces
-the generator rows themselves, each column of them being its own u.
+column) and places it with hnf_reduce, so the convention behind
+canonical keys lives here alone.
 
 Elimination has two kernels.  The Smith form, lattice_index and
 solve_integer are built from the Hermite form.  One echelon step,
@@ -69,7 +70,11 @@ class IntMatrix:
         cols = tuple(map(int_tuple, columns))
         if not cols:
             raise InputError("matrix must have at least one column")
-        return cls(zip(*cols))
+        try:
+            rows = tuple(zip(*cols, strict=True))
+        except ValueError:
+            raise InputError("matrix columns must all have the same length") from None
+        return cls(rows)
 
     @property
     def data(self) -> tuple[Vector, ...]:
@@ -86,9 +91,6 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def row(self, i: int) -> Vector:
-        return self._data[i]
 
     def columns(self) -> tuple[Vector, ...]:
         return tuple(zip(*self._data))
@@ -133,20 +135,10 @@ def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
 
 def make_primitive(v: Sequence[int]) -> Vector:
     """Divide a nonzero integer vector by the gcd of its entries."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise InputError("cannot primitivize the zero vector")
     return tuple(x // g for x in v)
-
-
-def hnf_column_step(
-    U: tuple[Vector, ...], r: int, col: Sequence[int]
-) -> tuple[tuple[Vector, ...], int, Vector]:
-    """One column of the row-style Hermite normal form: hnf_reduce of the
-    column U * col.  Returns (new U, new r, the committed HNF column)."""
-    return hnf_reduce(U, r, [sum(map(mul, row, col)) for row in U])
 
 
 def hnf_reduce(
@@ -206,20 +198,25 @@ def hnf_top_entry(u: Sequence[int], r: int) -> int:
     return u[0] % g if g else u[0]
 
 
+def _hnf_rows(rows: tuple[Vector, ...], width: int) -> tuple[tuple[Vector, ...], int]:
+    """The rows reduced in place by hnf_reduce, column j of them at step j
+    for the first width columns, and the number of pivots found."""
+    r = 0
+    for j in range(width):
+        rows, r, _ = hnf_reduce(rows, r, [row[j] for row in rows])
+    return rows, r
+
+
 def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 
     Returns (H, U) with U * A = H, |det U| = 1, and H the unique matrix in
-    Hermite normal form with the same row lattice as A.  H is built one
-    column at a time by hnf_column_step, from the identity transform."""
-    m = A.rows
-    U = tuple(tuple(int(i == k) for k in range(m)) for i in range(m))
-    r = 0
-    cols = []
-    for col in zip(*A.data):
-        U, r, h = hnf_column_step(U, r, col)
-        cols.append(h)
-    return IntMatrix(zip(*cols)), IntMatrix(U)
+    Hermite normal form with the same row lattice as A.  The rows of
+    [A | I] are reduced over the columns of A, which leaves [H | U]."""
+    m, n = A.rows, A.cols
+    rows = tuple(a + (0,) * i + (1,) + (0,) * (m - 1 - i) for i, a in enumerate(A.data))
+    rows, _ = _hnf_rows(rows, n)
+    return IntMatrix(row[:n] for row in rows), IntMatrix(row[n:] for row in rows)
 
 
 def _bareiss(rows: list[list[int]], n: int) -> tuple[int, list[list[int]]]:
@@ -394,40 +391,34 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Vector | None:
     """One integer solution x of A x = b, or None when none exists."""
     if len(b) != A.rows:
         raise InputError("right-hand side length does not match")
-    # Row-HNF of the transpose gives A * U^T = H^T with H^T column-echelon.
+    # Row-HNF of the transpose gives A * U^T = H^T: solve H^T y = b by
+    # substituting down the rows of H, then x = U^T y.
     H, U = hermite_normal_form(A.transpose())
-    HT = H.transpose()  # A.rows x A.cols
     residual = list(b)
-    y = [0] * A.cols
-    for k in range(H.rows):
-        hrow = H.row(k)
-        pivot_pos = next((i for i, x in enumerate(hrow) if x != 0), None)
-        if pivot_pos is None:
+    y = []
+    for hrow in H.data:
+        pos = next((i for i, x in enumerate(hrow) if x), None)
+        if pos is None:
             break
-        piv = hrow[pivot_pos]
-        if residual[pivot_pos] % piv != 0:
+        yk, rem = divmod(residual[pos], hrow[pos])
+        if rem:
             return None
-        yk = residual[pivot_pos] // piv
-        y[k] = yk
-        if yk:
-            for i in range(A.rows):
-                residual[i] -= yk * HT.data[i][k]
+        y.append(yk)
+        residual = [x - yk * h for x, h in zip(residual, hrow)]
     if any(residual):
         return None
-    return U.transpose().mult_vector(y)
+    return tuple(dot(col, y) for col in zip(*U.data))
 
 
 def lattice_basis_of_columns(A: IntMatrix) -> IntMatrix:
     """Canonical (column-HNF) basis matrix of the lattice spanned by the
     columns of A.  Requires full row rank; the result is n x n.
 
-    The columns of A, as k rows n wide, are reduced in place by
-    hnf_reduce, column j of the rows at step j.  With n pivots the first
-    n rows of their row-style HNF are the basis vectors, the rest zero."""
+    The columns of A, as k rows n wide, are reduced by _hnf_rows.  With n
+    pivots the first n rows of their row-style HNF are the basis vectors,
+    the rest zero."""
     n = A.rows
-    rows, r = A.columns(), 0
-    for j in range(n):
-        rows, r, _ = hnf_reduce(rows, r, [row[j] for row in rows])
+    rows, r = _hnf_rows(A.columns(), n)
     if r < n:
         raise NotFullRankError("columns do not span a full-rank lattice")
     return IntMatrix(zip(*rows[:n]))

@@ -69,16 +69,14 @@ def _placing_triangulation(rays: Sequence[Vector], n: int) -> list[tuple[int, ..
 def _parallelepiped_points(cols: Sequence[Vector]) -> list[Vector]:
     """Nonzero lattice points of {sum t_i c_i : 0 <= t_i < 1}."""
     n = len(cols)
-    W = IntMatrix.from_columns(cols)
-    d = determinant(W)
-    if d == 0:
-        raise NotFullRankError("simplicial cone matrix is singular")
+    adj = adjugate(cols)
+    # det(M) is entry (0, 0) of M * adj(M) = det(M) * I.
+    d = sum(c[0] * a[0] for c, a in zip(cols, adj))
     if abs(d) == 1:
         return []
-    adj = adjugate(cols)
     # Column-HNF basis of the sublattice spanned by cols; the residues of
     # Z^n modulo the sublattice are the boxes under its diagonal.
-    B = lattice_basis_of_columns(W)
+    B = lattice_basis_of_columns(IntMatrix.from_columns(cols))
     diag = [B.data[i][i] for i in range(n)]
     out = []
     for tup in itertools.product(*(range(dd) for dd in diag)):

@@ -210,6 +210,30 @@ def test_error_exit_code_and_line(runner, tmp_path):
     assert "error:" in combined
 
 
+@pytest.mark.parametrize(
+    "command", ["hilbert", "dual", "canon", "children", "subdivide", "explore", "analyze"]
+)
+def test_missing_matrix_file_is_a_usage_error(runner, tmp_path, command):
+    r = runner.invoke(main, [command, str(tmp_path / "missing.txt")])
+    assert r.exit_code == 2 and r.stdout == ""
+    assert "Error: Invalid value for 'MATRIX'" in r.stderr
+    assert "does not exist" in r.stderr
+
+
+def test_store_in_missing_directory_fails_before_exploring(runner, chi_file, tmp_path, monkeypatch):
+    import nashtoric.cli
+
+    def explored(*args, **kwargs):
+        raise AssertionError("explored before checking the store path")
+
+    monkeypatch.setattr(nashtoric.cli, "resolution_subgraph", explored)
+    store = tmp_path / "no" / "such" / "x.jsonl"
+    r = runner.invoke(main, ["explore", chi_file, "--store", str(store)])
+    assert r.exit_code == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: cannot write the store")
+    assert not (tmp_path / "no").exists()
+
+
 def _run_process(*args, stdin):
     """python -m nashtoric.cli in a child process, with this package first
     on its path; CliRunner mixes the two streams, a real process does not."""

@@ -69,6 +69,19 @@ class TestStoreBasics:
         with pytest.raises(InputError):
             DigraphStore("nash", 6, 2)
 
+    def test_rank_is_an_integer(self, tmp_path):
+        """A non-integral rank raises InputError, as a non-integral
+        characteristic does; an integral one is stored as an int."""
+        for rank in (2.0, 2.5, "2"):
+            with pytest.raises(InputError):
+                DigraphStore("nash", 0, rank)
+        st = DigraphStore("nash", 0, True)
+        assert st.rank == 1 and type(st.rank) is int
+        st.save(tmp_path / "s.jsonl")
+        with open(tmp_path / "s.jsonl", encoding="utf-8") as fh:
+            assert json.loads(fh.readline())["rank"] == 1
+        assert DigraphStore.load(tmp_path / "s.jsonl").rank == 1
+
     def test_edge_endpoints_checked(self):
         st = DigraphStore("normalized", 0, 2)
         with pytest.raises(StoreError):

@@ -162,6 +162,11 @@ def _parallelepiped_cases():
     return cases
 
 
+def _smith(rows):
+    factors, L, R = smith_normal_form(IntMatrix(rows))
+    return [factors, L.data, R.data]
+
+
 KERNELS = {
     "dual_description": (_dual_cases, lambda c: dual_description(*c)),
     "hermite_normal_form": (
@@ -169,10 +174,7 @@ KERNELS = {
         lambda c: [M.data for M in hermite_normal_form(IntMatrix(c))],
     ),
     "solve_integer": (_solve_cases, lambda c: solve_integer(IntMatrix(c[0]), c[1])),
-    "smith_normal_form": (
-        _smith_cases,
-        lambda c: (lambda f, L, R: [f, L.data, R.data])(*smith_normal_form(IntMatrix(c))),
-    ),
+    "smith_normal_form": (_smith_cases, _smith),
     "lattice_basis_of_columns": (
         _lattice_cases,
         lambda c: lattice_basis_of_columns(IntMatrix(c)).data,

@@ -27,7 +27,7 @@ from nashtoric import (
 from nashtoric.cones import dual_description
 from nashtoric.linalg import adjugate, check_characteristic, independent, rank
 from nashtoric.linalg import reduce_independent
-from nashtoric.linalg import hnf_column_step, hnf_top_entry, solve_integer
+from nashtoric.linalg import dot, hnf_reduce, hnf_top_entry, solve_integer
 from nashtoric.linalg import lattice_basis_of_columns
 
 from conftest import RUNNING_COLS, RUNNING_HNF_COLS, random_unimodular
@@ -51,6 +51,14 @@ class TestIntMatrix:
             IntMatrix([])
         with pytest.raises(InputError):
             IntMatrix([[1, 2], [3]])
+
+    def test_ragged_columns_rejected(self):
+        """Columns of unequal length raise, as ragged rows do, instead of
+        being cut to the shortest."""
+        for cols in ([(1, 2), (3,)], [(3,), (1, 2)], [(1, 2, 3), (4, 5), (6, 7, 8)]):
+            with pytest.raises(InputError, match="same length"):
+                IntMatrix.from_columns(cols)
+        assert IntMatrix.from_columns([(1, 2), (3, 4)]) == IntMatrix([[1, 3], [2, 4]])
 
     def test_rejects_non_integral_entries(self, tmp_path):
         """A float is refused where it would have been truncated; ints,
@@ -160,7 +168,8 @@ class TestHermite:
             inverse = hermite_normal_form(U)[1]
             col = inverse.mult_vector(w[:r] + [0] * (n - r))
         u = U.mult_vector(col)
-        assert hnf_top_entry(u, r) == hnf_column_step(U.data, r, col)[2][0]
+        step = hnf_reduce(U.data, r, [dot(row, col) for row in U.data])
+        assert hnf_top_entry(u, r) == step[2][0]
 
     def test_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
