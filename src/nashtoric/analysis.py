@@ -68,5 +68,5 @@ def analyze(C: Cone) -> AnalysisReport:
         hypersurface=count == n + 1,
         hilbert_count=count,
         saturated=True,
-        unimodular=C.is_unimodular(),
+        unimodular=index == 1,
     )

@@ -51,30 +51,27 @@ def _vertex_charts(
     The chart at v is H and each g - h with I - h + g a basis, I the greedy
     basis with sum v: by Cramer's rule, when row k of adj(I), h the k-th
     element of I, is nonzero at g modulo p.  H generates C, so C lies in
-    the chart's cone, and that cone is built from the elements of H on
-    C's rays and only the moves g - h outside C.  A ray e of the cone
-    outside C is a bounded edge; the sum w of the cone's facet normals tight
-    at e lies on the wall between the normal cones of its ends, and the key
-    (w.h, -e.h, h) orders H as a functional just past it.  Each edge is
-    crossed once; past max_bases greedy bases, the first and one per
-    crossing, the walk raises BasisCapExceeded.  A max_bases of None reads
-    DEFAULT_BASIS_CAP at call time."""
+    the chart's cone, and that cone is built from C's rays and only the
+    moves g - h outside C.  A ray e of the cone outside C is a bounded
+    edge; the sum w of the cone's facet normals tight at e lies on the wall
+    between the normal cones of its ends, and the key (w.h, -e.h, h)
+    orders H as a functional just past it.  Each edge is crossed once; past
+    max_bases greedy bases, the first and one per crossing, the walk raises
+    BasisCapExceeded.  A max_bases of None reads DEFAULT_BASIS_CAP at call
+    time."""
     if max_bases is None:
         max_bases = DEFAULT_BASIS_CAP
     w0 = _vector_sum(C.facet_normals)
     todo = [independent(sorted(H, key=lambda h: (dot(w0, h), h)), p)]
     charts = {_vector_sum(todo[0]): None}
     crossed: set[tuple[Vector, Vector]] = set()
-    # g - h lies in C iff no facet value of g is below the one of h.  As H
-    # generates C, h spans a ray of C iff no g in H is tight at more facets.
+    # g - h lies in C iff no facet value of g is below the one of h.
     values = facet_values(H, C.facet_normals)
-    tight = {h: frozenset(i for i, x in enumerate(values[h]) if not x) for h in H}
-    rays = [h for h in H if not any(tight[h] < tight[g] for g in H)]
     while todo:
         I = todo.pop()
         v = _vector_sum(I)
         chart = set(H)
-        outside = set(rays)
+        outside = set(C.rays)
         for row, h in zip(adjugate(I), I):
             at_h = values[h]
             for g in H:

@@ -226,15 +226,14 @@ def canonical_cone(C: Cone) -> tuple[CanonicalKey, IntMatrix]:
 
 
 def canonical_semigroup(S: AffineSemigroup) -> CanonicalKey:
-    """Canonical key of a pointed full-rank affine semigroup."""
-    cached = S._cache.get("canonical")
-    if cached is not None:
-        return cached
-    _, us = _canonical_cone_data(S.hull)
-    images = (sorted(tuple(dot(row, g) for row in U) for g in S.generators) for U in us)
-    result = CanonicalKey.from_matrix(IntMatrix.from_columns(min(images, key=_row_major)))
-    S._cache["canonical"] = result
-    return result
+    """Canonical key of a pointed full-rank affine semigroup, cached on it."""
+
+    def compute():
+        _, us = _canonical_cone_data(S.hull)
+        images = (sorted(tuple(dot(row, g) for row in U) for g in S.generators) for U in us)
+        return CanonicalKey.from_matrix(IntMatrix.from_columns(min(images, key=_row_major)))
+
+    return S._cached("canonical", compute)
 
 
 def are_equivalent(X, Y) -> bool:

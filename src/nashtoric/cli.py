@@ -81,6 +81,13 @@ def _load_or_create_store(path, mode, char, rank) -> DigraphStore:
     return DigraphStore(mode, char, rank)
 
 
+def _not_a_dir(ctx, param, path):
+    """A file path option given a directory is a usage error."""
+    if path and os.path.isdir(path):
+        raise click.BadParameter(f"{path!r} is a directory.")
+    return path
+
+
 matrix_arg = click.argument(
     "matrix_file",
     metavar="MATRIX",
@@ -104,6 +111,9 @@ mode_opt = click.option(
     show_default=True,
 )
 json_opt = click.option("--json", "as_json", is_flag=True, help="machine output")
+stored_opt = click.option(
+    "--store", "store_path", type=click.Path(exists=True), required=True, callback=_not_a_dir
+)
 
 
 class _Cli(click.Group):
@@ -215,7 +225,9 @@ def subdivide(matrix_file, side, characteristic, as_json):
 @mode_opt
 @char_opt
 @json_opt
-@click.option("--store", "store_path", type=click.Path(), default=None, help="persistent store file")
+@click.option(
+    "--store", "store_path", type=click.Path(), callback=_not_a_dir, help="persistent store file"
+)
 @click.option("--max-vertices", type=int, default=10**6, show_default=True)
 @click.option("--max-seconds", type=float, default=86400.0, show_default=True)
 def explore(matrix_file, side, mode, characteristic, as_json, store_path, max_vertices, max_seconds):
@@ -252,7 +264,7 @@ def explore(matrix_file, side, mode, characteristic, as_json, store_path, max_ve
 
 
 @main.command()
-@click.option("--store", "store_path", type=click.Path(exists=True), required=True)
+@stored_opt
 @click.option("--max-report", type=int, default=None)
 @json_opt
 def cycles(store_path, max_report, as_json):
@@ -318,8 +330,8 @@ def sample(mode, characteristic, as_json, rank, count, seed, entry_bound, max_ve
 
 
 @main.command(name="export-dot")
-@click.option("--store", "store_path", type=click.Path(exists=True), required=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
+@stored_opt
+@click.option("--output", "-o", type=click.Path(), callback=_not_a_dir)
 def export_dot_cmd(store_path, output):
     """DOT rendering of a stored digraph."""
     store = DigraphStore.load(store_path)

@@ -1,9 +1,10 @@
 """Pointed rational polyhedral cones with exact dual descriptions.
 
-A cone is created from integer generators; facet inequalities, extreme
-rays, pointedness, and duals are derived with an exact double description
-method (Fukuda-Prodon 1996): the facets from the generators, and the
-extreme rays from the facets.
+A cone is created from integer generators and caches two exact double
+descriptions (Fukuda-Prodon 1996): (equalities, facets) from the
+generators, and (lineality, rays) from the inequality rows of the first.
+Each predicate reads one of them, and the dual of a pointed
+full-dimensional cone takes the two swapped.
 """
 
 from collections.abc import Iterable, Sequence
@@ -17,7 +18,6 @@ from .linalg import (
     determinant,
     int_tuple,
     make_primitive,
-    rank,
 )
 
 
@@ -122,9 +122,12 @@ def dual_description(
 class Cone:
     """Rational polyhedral cone in Z^n given by integer generators.
 
-    Generators are primitivized and deduplicated on construction; the
-    extreme rays, facet normals and lineality space are computed lazily
-    and cached.  The caches take no lock; cones are otherwise immutable.
+    Generators are primitivized and deduplicated on construction.  The
+    cone caches its two descriptions: (equalities, facets) answers
+    facet_normals, span_equalities, inequality_rows, contains and
+    is_full_dimensional; (lineality, rays) answers rays, is_pointed,
+    is_simplicial and is_unimodular.  The caches take no lock; cones are
+    otherwise immutable.
     """
 
     __slots__ = ("_gens", "_n", "_cache")
@@ -148,11 +151,17 @@ class Cone:
             self._cache[key] = compute()
         return self._cache[key]
 
-    # -- dual description ------------------------------------------------
+    # -- the two descriptions --------------------------------------------
 
     def _dual_data(self):
         """(equalities, facet_rows): the cone is {x : F x >= 0, E x = 0}."""
         return self._cached("dual", lambda: dual_description(self._gens, self._n))
+
+    def _primal_data(self):
+        """(lineality, rays): the cone is span(L) + cone(R)."""
+        return self._cached(
+            "primal", lambda: dual_description(self.inequality_rows(), self._n)
+        )
 
     @property
     def facet_normals(self) -> tuple[Vector, ...]:
@@ -171,17 +180,19 @@ class Cone:
         eq, fac = self._dual_data()
         return fac + tuple(r for e in eq for r in (e, tuple(-x for x in e)))
 
+    @property
+    def rays(self) -> tuple[Vector, ...]:
+        """Extreme rays (for pointed cones).  For a cone with lineality,
+        the extreme rays modulo the lineality space."""
+        return self._primal_data()[1]
+
     # -- structural predicates -------------------------------------------
 
     def is_full_dimensional(self) -> bool:
         return not self.span_equalities
 
     def is_pointed(self) -> bool:
-        def compute():
-            eq, fac = self._dual_data()
-            return rank(list(fac) + list(eq)) == self._n
-
-        return self._cached("pointed", compute)
+        return not self._primal_data()[0]
 
     def check_pointed_full_dimensional(self, op: str) -> None:
         """Raise unless the cone is full-dimensional and pointed, naming
@@ -195,44 +206,25 @@ class Cone:
         return self.is_pointed() and len(self.rays) == self._n
 
     def is_unimodular(self) -> bool:
-        if not self.is_pointed():
-            return False
-        r = self.rays
-        if len(r) != self._n:
-            return False
-        return abs(determinant(IntMatrix.from_columns(r))) == 1
-
-    # -- extreme rays ------------------------------------------------------
-
-    @property
-    def rays(self) -> tuple[Vector, ...]:
-        """Extreme rays (for pointed cones).  For a cone with lineality,
-        the extreme rays modulo the lineality space.  Either way they are
-        the double description of the inequality rows."""
-
-        def compute():
-            return dual_description(self.inequality_rows(), self._n)[1]
-
-        return self._cached("rays", compute)
+        return (
+            self.is_simplicial()
+            and abs(determinant(IntMatrix.from_columns(self.rays))) == 1
+        )
 
     def contains(self, v: Sequence[int]) -> bool:
-        eq, fac = self._dual_data()
-        v = tuple(v)
-        return all(dot(f, v) >= 0 for f in fac) and all(dot(e, v) == 0 for e in eq)
+        return all(dot(a, v) >= 0 for a in self.inequality_rows())
 
     def dual(self) -> "Cone":
         """The dual cone {y : <y, x> >= 0 for all x in the cone}."""
 
         def compute():
-            eq, fac = self._dual_data()
             d = Cone(self.inequality_rows())
-            if self.is_pointed() and not eq:
-                # Pointed and full-dimensional: each description is the
-                # other's, so prime the dual's caches.  No pointer back to
-                # self, which would make the pair a reference cycle; the
-                # dual's own dual is rebuilt from these caches.
-                d._cache.setdefault("dual", ((), self.rays))
-                d._cache.setdefault("rays", tuple(sorted(fac)))
+            if self.is_full_dimensional() and self.is_pointed():
+                # Each description is the other's.  No pointer back to self,
+                # which would make the pair a reference cycle; the dual's
+                # own dual is rebuilt from these caches.
+                d._cache["dual"] = self._primal_data()
+                d._cache["primal"] = self._dual_data()
             return d
 
         return self._cached("_dual_cone", compute)
@@ -251,4 +243,3 @@ class Cone:
     def __repr__(self) -> str:
         cols = ", ".join(str(list(g)) for g in self._gens)
         return f"Cone([{cols}])"
-

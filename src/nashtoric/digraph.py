@@ -476,7 +476,10 @@ def _sccs(keys, out_edges) -> list[list[str]]:
 def find_cycles(store: DigraphStore, max_report: int | None = None):
     """One directed cycle per nontrivial strongly connected component (and
     per self-loop), excluding the epsilon self-loop.  A cycle is a list of
-    keys whose consecutive pairs, and last-to-first pair, are edges."""
+    keys whose consecutive pairs, and last-to-first pair, are edges.  At
+    most max_report cycles are returned, a nonnegative integer or None."""
+    if max_report is not None and min(int_tuple((max_report,))) < 0:
+        raise InputError("max_report must be nonnegative")
     keys = sorted(store.vertices)
     sccs = _sccs(keys, store.children_of)
     cycles: list[list[str]] = []

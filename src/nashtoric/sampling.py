@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from .canonical import canonical_cone
 from .cones import Cone
 from .errors import InputError
-from .linalg import check_characteristic, int_tuple, rank
-from .semigroups import AffineSemigroup, minimal_generators
+from .linalg import check_characteristic, int_tuple
+from .semigroups import AffineSemigroup
 from .digraph import MODES, Complete, DigraphStore, _explore, _Prefetcher, check_budgets
 from .digraph import find_cycles, vertex_key
 
@@ -66,12 +66,12 @@ def _random_cone(rng: random.Random, n: int, entry_bound: int) -> Cone:
 def _random_semigroup(rng: random.Random, n: int, entry_bound: int) -> AffineSemigroup:
     while True:
         cols = [c for c in _random_columns(rng, n, entry_bound) if any(c)]
-        if len(cols) < n or rank(cols) < n:
+        if len(cols) < n:
             continue
         C = Cone(cols)
-        if not (C.is_pointed() and C.is_full_dimensional()):
+        if not (C.is_full_dimensional() and C.is_pointed()):
             continue
-        S = minimal_generators(cols)
+        S = AffineSemigroup(cols)
         if S.is_full_lattice():
             return S
 

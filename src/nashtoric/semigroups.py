@@ -25,25 +25,23 @@ from .linalg import (
     IntMatrix,
     Vector,
     adjugate,
-    determinant,
     dot,
     independent,
     int_tuple,
     lattice_basis_of_columns,
+    lattice_index,
     rank,
     solve_integer,
 )
 
 
-def _placing_triangulation(rays: Sequence[Vector], n: int) -> list[tuple[int, ...]]:
+def _placing_triangulation(rays: Sequence[Vector]) -> list[tuple[int, ...]]:
     """Triangulate a pointed full-dimensional cone on its extreme rays.
 
     Rays are placed one at a time; each new ray is joined to the boundary
     facets of the current subcone that are visible from it."""
     # Seed with the first n independent rays (in sorted order).
     seed = [rays.index(r) for r in independent(rays, 0)]
-    if len(seed) < n:
-        raise NotFullRankError("cone is not full-dimensional")
     rest = [i for i in range(len(rays)) if i not in seed]
     simplices = [tuple(seed)]
     placed = [rays[i] for i in seed]
@@ -130,9 +128,8 @@ def hilbert_basis(C: Cone) -> tuple[Vector, ...]:
     def compute():
         C.check_pointed_full_dimensional("hilbert_basis")
         rays = C.rays
-        n = C.ambient_rank
         candidates = set(rays)
-        for simplex in _placing_triangulation(rays, n):
+        for simplex in _placing_triangulation(rays):
             candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
         return drop_dominated(facet_values(candidates, C.facet_normals))
 
@@ -170,39 +167,22 @@ class AffineSemigroup:
         """The Hilbert basis (minimal generating set), sorted."""
         return self._gens
 
+    _cached = Cone._cached
+
     @property
     def hull(self) -> Cone:
-        if "hull" not in self._cache:
-            self._cache["hull"] = Cone(self._gens)
-        return self._cache["hull"]
+        return self._cached("hull", lambda: Cone(self._gens))
 
     def _membership_solver(self) -> "_MembershipSolver":
-        if "solver" not in self._cache:
-            hull = self.hull
-            if not hull.is_pointed():
-                raise NotPointedError(
-                    "semigroup membership needs a pointed hull"
-                )
-            rows = hull.inequality_rows()
-            self._cache["solver"] = _MembershipSolver(
-                self._gens, rows, facet_values(self._gens, rows).values()
-            )
-        return self._cache["solver"]
+        return self._cached("solver", lambda: _MembershipSolver(self._gens, self.hull))
 
     def is_full_lattice(self) -> bool:
         """True iff the generators span all of Z^n as a lattice."""
-        if rank(self._gens) < self._n:
-            return False
-        return (
-            lattice_basis_of_columns(IntMatrix.from_columns(self._gens))
-            == IntMatrix.identity(self._n)
-        )
+        gens = IntMatrix.from_columns(self._gens)
+        return self.hull.is_full_dimensional() and lattice_index(gens) == 1
 
     def is_unimodular(self) -> bool:
-        return (
-            len(self._gens) == self._n
-            and abs(determinant(IntMatrix.from_columns(self._gens))) == 1
-        )
+        return len(self._gens) == self._n and self.is_full_lattice()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AffineSemigroup) and self._gens == other._gens
@@ -228,16 +208,17 @@ class _MembershipSolver:
     first rejects a point outside the group the generators span, which the
     search could only learn by exhausting every node below it."""
 
-    def __init__(self, gens: Sequence[Vector], facets: Sequence[Vector], gen_evals: Iterable):
-        """gen_evals are the facet values of gens (facet_values)."""
+    def __init__(self, gens: Sequence[Vector], hull: Cone):
+        """hull is the cone that gens span, which must be pointed; evals
+        maps each generator to its values on the hull's inequality rows."""
+        if not hull.is_pointed():
+            raise NotPointedError("generators span a non-pointed cone")
         self.gens = gens
-        self.facets = facets
-        self.gen_evals = sorted(set(gen_evals), key=lambda e: (-sum(e), e))
+        self.facets = hull.inequality_rows()
+        self.evals = facet_values(gens, self.facets)
+        self.gen_evals = sorted(set(self.evals.values()), key=lambda e: (-sum(e), e))
         self._neg_grades = [-sum(e) for e in self.gen_evals]
         self.memo: dict[tuple[int, ...], bool] = {}
-
-    def eval_point(self, v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(dot(f, v) for f in self.facets)
 
     def member_evals(self, target: tuple[int, ...]) -> bool:
         """target is a facet-evaluation vector with no negative entry.
@@ -281,7 +262,7 @@ class _MembershipSolver:
         return IntMatrix.from_columns(self.gens)
 
     def member(self, v: Sequence[int]) -> bool:
-        ev = self.eval_point(v)
+        ev = tuple(dot(f, v) for f in self.facets)
         if min(ev) < 0 or solve_integer(self._lattice, v) is None:
             return False
         return self.member_evals(ev)
@@ -301,13 +282,8 @@ def _minimalize(gens: tuple[Vector, ...], hull: Cone | None = None) -> tuple[Vec
     """Indecomposable elements of the semigroup generated by gens, which
     form its unique minimal generating set: drop_dominated over the hull's
     inequality rows, with the membership search as its test."""
-    if hull is None:
-        hull = Cone(gens)
-    if not hull.is_pointed():
-        raise NotPointedError("generators span a non-pointed cone")
-    rows = hull.inequality_rows()
-    evals = facet_values(gens, rows)
-    return drop_dominated(evals, _MembershipSolver(gens, rows, evals.values()).member_evals)
+    solver = _MembershipSolver(gens, Cone(gens) if hull is None else hull)
+    return drop_dominated(solver.evals, solver.member_evals)
 
 
 def _full_rank_generators(G: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
@@ -335,10 +311,7 @@ def full_rank_normalize(
     semigroup is unchanged."""
     gens = _full_rank_generators(G)
     B = lattice_basis_of_columns(IntMatrix.from_columns(gens))
-    if B == IntMatrix.identity(len(gens[0])):
-        return AffineSemigroup(gens), B
-    new_gens = [solve_integer(B, g) for g in gens]
-    return AffineSemigroup(new_gens), B
+    return AffineSemigroup([solve_integer(B, g) for g in gens]), B
 
 
 def is_saturated(S: AffineSemigroup) -> bool:

@@ -234,6 +234,25 @@ def test_store_in_missing_directory_fails_before_exploring(runner, chi_file, tmp
     assert not (tmp_path / "no").exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["explore", "CHI", "--store", "DIR"],
+        ["cycles", "--store", "DIR"],
+        ["export-dot", "--store", "DIR"],
+        ["export-dot", "--store", "STORE", "-o", "DIR"],
+    ],
+)
+def test_directory_as_store_or_output_is_a_usage_error(runner, chi_file, tmp_path, args):
+    store = tmp_path / "s.jsonl"
+    DigraphStore("normalized", 0, 2).save(str(store))
+    names = {"CHI": chi_file, "DIR": str(tmp_path), "STORE": str(store)}
+    r = runner.invoke(main, [names.get(a, a) for a in args])
+    assert r.exit_code == 2 and r.stdout == ""
+    assert r.stderr.endswith(f"'{tmp_path}' is a directory.\n")
+    assert r.stderr.count("Error:") == 1
+
+
 def _run_process(*args, stdin):
     """python -m nashtoric.cli in a child process, with this package first
     on its path; CliRunner mixes the two streams, a real process does not."""

@@ -60,6 +60,17 @@ class TestDual:
             C = random_pointed_cone(rng, rng.choice([2, 3]))
             assert C.dual().dual().rays == C.rays
 
+    def test_dual_takes_the_two_descriptions_swapped(self):
+        """The descriptions a dual is primed with are those that a fresh
+        cone on the facet normals computes."""
+        rng = random.Random(2025)
+        for _ in range(60):
+            C = random_pointed_cone(rng, rng.choice([2, 3, 4]))
+            D, fresh = C.dual(), Cone(C.facet_normals)
+            assert {"dual", "primal"} <= D._cache.keys()
+            assert D._dual_data() == fresh._dual_data()
+            assert D._primal_data() == fresh._primal_data()
+
     def test_dual_leaves_no_reference_cycle(self):
         """A cone and its dual are freed by reference counting alone: the
         dual's primed caches hold no pointer back to the cone."""

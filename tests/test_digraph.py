@@ -10,6 +10,7 @@ import time
 import types
 
 import pytest
+from click.testing import CliRunner
 
 import nashtoric.blowup
 import nashtoric.canonical
@@ -35,6 +36,7 @@ from nashtoric import (
     resolution_subgraph,
     sample_random,
 )
+from nashtoric.cli import main
 from nashtoric.digraph import _sccs, vertex_key
 
 from conftest import CYCLE2_COLS, LOOP4_COLS
@@ -246,7 +248,8 @@ class TestFindCycles:
         two = [c for c in cycles if len(c) == 2]
         assert any(key in c for c in two)
 
-    def test_cycle_soundness_and_completeness_on_synthetic_store(self):
+    @staticmethod
+    def _synthetic_store():
         st = DigraphStore("normalized", 0, 2)
         # Hand-build a small digraph over fake-but-wellformed vertices.
         mats = {}
@@ -269,6 +272,10 @@ class TestFindCycles:
         ]
         for a, b in edges:
             st.add_edge(a, b)
+        return st
+
+    def test_cycle_soundness_and_completeness_on_synthetic_store(self):
+        st = self._synthetic_store()
         cycles = find_cycles(st)
         # soundness: consecutive pairs (wrapping) are edges
         for cyc in cycles:
@@ -285,6 +292,18 @@ class TestFindCycles:
         st = DigraphStore("normalized", 0, 4)
         expand(st, Cone(LOOP4_COLS))
         assert find_cycles(st, max_report=0) == []
+
+    def test_negative_or_non_integer_max_report_rejected(self, tmp_path):
+        st = self._synthetic_store()
+        assert len(find_cycles(st, max_report=2)) == 2
+        for bad in (-1, 1.5, "2"):
+            with pytest.raises(InputError):
+                find_cycles(st, max_report=bad)
+        path = str(tmp_path / "cycles.jsonl")
+        st.save(path)
+        r = CliRunner().invoke(main, ["cycles", "--store", path, "--max-report", "-1"])
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr == "error: max_report must be nonnegative\n"
 
     def test_one_shortest_cycle_per_component_on_random_stores(self):
         rng = random.Random(47)
