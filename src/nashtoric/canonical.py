@@ -6,9 +6,13 @@ of its primitive extreme-ray matrix.  Two cones get equal keys iff they
 are unimodularly equivalent: left-multiplying by a unimodular matrix does
 not change any HNF, and column order is searched exhaustively.
 
-A unimodular cone needs no search: every column order R P of its ray
-matrix R has the identity as HNF, realized by (R P)^-1, so the key is the
-identity and the transforms are the n! row orders of R^-1.
+At ambient rank 2 there are two column orders: the key is the greater of
+their two HNFs (linalg.hermite_normal_form), with the transform of each
+order that ties it, and the two count 2 against DEFAULT_SEARCH_CAP.
+
+At any other rank a unimodular cone needs no search: every column order
+R P of its ray matrix R has the identity as HNF, realized by (R P)^-1, so
+the key is the identity and the transforms are the n! row orders of R^-1.
 
 Any other cone is searched by branch and bound.  Columns are placed one
 at a time with the HNF's own column step (linalg.hnf_reduce); the
@@ -204,12 +208,24 @@ def _unimodular_cone_data(rays: tuple[Vector, ...], n: int):
     return key, tuple(permutations(sorted(inverse.data)))
 
 
+def _two_order_cone_data(rays: tuple[Vector, ...]):
+    """Key and transforms of a pointed full-dimensional 2D cone."""
+    if DEFAULT_SEARCH_CAP < 2:
+        raise SearchCapExceeded(DEFAULT_SEARCH_CAP)
+    forms = [hermite_normal_form(IntMatrix.from_columns(o)) for o in (rays, rays[::-1])]
+    best = max(forms, key=lambda f: f[0].data)[0]
+    us = sorted(U.data for H, U in forms if H == best)
+    return CanonicalKey.from_matrix(best), tuple(us)
+
+
 def _canonical_cone_data(C: Cone):
     """(key, transforms), cached on the cone: every transform realizing
     the key as a tuple of integer rows, in sorted order."""
 
     def compute():
         C.check_pointed_full_dimensional("canonical form")
+        if C.ambient_rank == 2:
+            return _two_order_cone_data(C.rays)
         if C.is_unimodular():
             return _unimodular_cone_data(C.rays, C.ambient_rank)
         cols, us = _max_hnf_over_permutations(C.rays, C.ambient_rank)

@@ -5,6 +5,12 @@ descriptions (Fukuda-Prodon 1996): (equalities, facets) from the
 generators, and (lineality, rays) from the inequality rows of the first.
 Each predicate reads one of them, and the dual of a pointed
 full-dimensional cone takes the two swapped.
+
+At rank 2, dual_description takes the rows u and v that are extreme by
+the sign of the 2x2 determinant.  When det(u, v) > 0 and every row lies
+between them, the rays are the perpendiculars to u and v; any other input
+(no rows, one direction, opposite rows, a half-plane or more) takes the
+general method.
 """
 
 from collections.abc import Iterable, Sequence
@@ -52,14 +58,9 @@ def dual_description(
     Returns (lineality_basis, extreme_rays): the cone is the linear span of
     the lineality basis plus the nonnegative span of the rays, the rays
     being extreme modulo the lineality space.  All vectors are primitive
-    integer vectors; the output is sorted and deterministic.
-
-    Standard double description: start from all of R^n (lineality = the
-    standard basis) and insert one inequality at a time.  While the new
-    inequality cuts the lineality space, one lineality vector turns into a
-    ray and the rest are projected onto the hyperplane.  Afterwards rays
-    are split by sign and adjacent (+,-) pairs are combined; adjacency is
-    the usual combinatorial test on sets of tight inequalities.
+    integer vectors; the output is sorted and deterministic.  At n = 2,
+    rows u and v extreme by the sign of the 2x2 determinant answer a
+    pointed input directly; any other input takes _double_description.
     """
     rows = set()
     for a in ineq_rows:
@@ -68,6 +69,30 @@ def dual_description(
             raise InputError("inequality row has wrong length")
         if any(t):
             rows.add(make_primitive(t))
+    if n == 2 and rows:
+        u = v = next(iter(rows))
+        for r in rows:
+            if u[0] * r[1] < u[1] * r[0]:
+                u = r
+            if r[0] * v[1] < r[1] * v[0]:
+                v = r
+        if u[0] * v[1] > u[1] * v[0] and all(
+            u[0] * r[1] >= u[1] * r[0] and r[0] * v[1] >= r[1] * v[0] for r in rows
+        ):
+            return (), tuple(sorted({(-u[1], u[0]), (v[1], -v[0])}))
+    return _double_description(rows, n)
+
+
+def _double_description(rows, n: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """dual_description of distinct primitive nonzero rows of length n.
+
+    Standard double description: start from all of R^n (lineality = the
+    standard basis) and insert one inequality at a time.  While the new
+    inequality cuts the lineality space, one lineality vector turns into a
+    ray and the rest are projected onto the hyperplane.  Afterwards rays
+    are split by sign and adjacent (+,-) pairs are combined; adjacency is
+    the usual combinatorial test on sets of tight inequalities.
+    """
     # Degeneracy-robust insertion order: few nonzero entries first.
     rows = sorted(rows, key=lambda t: (sum(1 for x in t if x), t))
 

@@ -13,7 +13,7 @@ from .canonical import canonical_cone
 from .cones import Cone
 from .errors import InputError
 from .linalg import check_characteristic, int_tuple
-from .semigroups import AffineSemigroup
+from .semigroups import AffineSemigroup, _minimalize
 from .digraph import MODES, Complete, DigraphStore, _explore, _Prefetcher, check_budgets
 from .digraph import find_cycles, vertex_key
 
@@ -71,7 +71,8 @@ def _random_semigroup(rng: random.Random, n: int, entry_bound: int) -> AffineSem
         C = Cone(cols)
         if not (C.is_full_dimensional() and C.is_pointed()):
             continue
-        S = AffineSemigroup(cols)
+        S = AffineSemigroup(_minimalize(tuple(sorted(set(cols))), C), assume_minimal=True)
+        S._cache["hull"] = C
         if S.is_full_lattice():
             return S
 

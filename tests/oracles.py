@@ -360,6 +360,22 @@ def max_hnf_transforms_all_permutations(columns, hnf_fn):
     return H, sorted(_transform_onto(perm, H) for perm in optimal)
 
 
+def hnf_2x2_by_gcd(columns):
+    """Row-style HNF of the nonsingular 2 x 2 matrix with these columns,
+    from the extended gcd of its first column: rows (g, x) and (0, h) with
+    g the gcd of the first column, h = |det| / g and 0 <= x < h.  The
+    second value is None, in the place of a transform."""
+    (a, c), (b, d) = columns
+    g, s, t, r_, s_, t_ = a, 1, 0, c, 0, 1
+    while r_:
+        q = g // r_
+        g, s, t, r_, s_, t_ = r_, s_, t_, g - q * r_, s - q * s_, t - q * t_
+    if g < 0:
+        g, s, t = -g, -s, -t
+    h = abs(a * d - b * c) // g
+    return ((g, (s * b + t * d) % h), (0, h)), None
+
+
 def _transform_onto(cols, H):
     # U with U * cols = H, solved exactly on n independent columns J:
     # B^T X = H_J^T with B = cols[J] and X = U^T, by Gauss-Jordan.

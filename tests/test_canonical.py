@@ -17,11 +17,11 @@ from nashtoric import (
     hermite_normal_form,
     minimal_generators,
 )
-from nashtoric.canonical import _canonical_cone_data
+from nashtoric.canonical import _canonical_cone_data, _max_hnf_over_permutations
 from nashtoric.digraph import epsilon_key
 
 from conftest import RUNNING_COLS, RUNNING_HNF_COLS, random_pointed_cone, random_unimodular
-from oracles import max_hnf_transforms_all_permutations
+from oracles import hnf_2x2_by_gcd, max_hnf_transforms_all_permutations
 
 # The 16-ray normalized Nash child of LOOP5_COLS at p = 0, and its key.
 LOOP5_CHILD_RAYS = [
@@ -194,6 +194,57 @@ class TestCanonicalCone:
 
         with pytest.raises(NotFullRankError):
             canonical_cone(Cone([(1, 2)]))
+
+
+# cone((0, 1), (d, -k)) with k^2 = 1 mod d: its two column orders tie.
+TIED_QUOTIENTS = [(d, k) for d in range(2, 30) for k in range(1, d) if k * k % d == 1]
+
+
+def _rank2_cones():
+    """Seeded pointed 2D cones: random ones, 30 unimodular ones, and the
+    TIED_QUOTIENTS in random coordinates."""
+    rng = random.Random(20261020)
+    cones = [random_pointed_cone(rng, 2, bound=rng.choice((2, 5, 30))) for _ in range(300)]
+    cones += [Cone(random_unimodular(2, rng).columns()) for _ in range(30)]
+    for d, k in TIED_QUOTIENTS:
+        V = random_unimodular(2, rng)
+        cones.append(Cone([V.mult_vector((0, 1)), V.mult_vector((d, -k))]))
+    return cones
+
+
+class TestRank2Key:
+    """At ambient rank 2 the key is the greater HNF of the two column
+    orders, with the transform of each order that reaches it."""
+
+    def test_matches_the_permutation_oracle(self):
+        cones = _rank2_cones()
+        for C in cones:
+            key, us = _canonical_cone_data(C)
+            H, oracle_us = max_hnf_transforms_all_permutations(C.rays, hnf_2x2_by_gcd)
+            assert key.matrix.data == H, C
+            assert list(us) == oracle_us, C
+        tied = cones[-len(TIED_QUOTIENTS) - 30 :]
+        assert all(len(_canonical_cone_data(C)[1]) == 2 for C in tied)
+
+    def test_matches_the_search(self):
+        for C in _rank2_cones():
+            key, us = _canonical_cone_data(C)
+            cols, search_us = _max_hnf_over_permutations(C.rays, 2)
+            assert key.matrix == IntMatrix.from_columns(cols)
+            assert list(us) == search_us
+
+    def test_two_orders_count_against_cap(self, monkeypatch):
+        # The search used to place 3-4 columns on a cone of index > 1, so
+        # caps 2 and 3 raised; the two orders count 2.
+        cones = [Cone([(1, 0), (0, 1)]), Cone([(0, 1), (5, -2)])]
+        monkeypatch.setattr("nashtoric.canonical.DEFAULT_SEARCH_CAP", 1)
+        for C in cones:
+            with pytest.raises(SearchCapExceeded) as info:
+                _canonical_cone_data(C)
+            assert info.value.cap == 1
+        monkeypatch.setattr("nashtoric.canonical.DEFAULT_SEARCH_CAP", 2)
+        keys = [_canonical_cone_data(C)[0].serialization for C in cones]
+        assert keys == ["2 x 2: 1,0,0,1", "2 x 2: 1,3,0,5"]
 
 
 class TestCanonicalSemigroup:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nashtoric import Cone, InputError, nash_subdivision
-from nashtoric.linalg import dot, rank
+import nashtoric.cones
+from nashtoric import Cone, InputError, dual_description, nash_subdivision
+from nashtoric.linalg import dot, make_primitive, rank
 
 from conftest import (
     LOOP4_COLS,
@@ -84,6 +85,91 @@ class TestDual:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# Rank-2 row sets on which the fast path of dual_description is easy to
+# get wrong.
+RANK2_EDGE_ROWS = [
+    [],
+    [(0, 0)],
+    [(0, 0), (0, 0), (0, 0)],
+    [(3, 5)],
+    [(-2, 7)],
+    [(1, 2), (1, 2), (0, 1)],
+    [(1, 2), (2, 4), (3, -1), (-6, 2)],
+    [(1, 1), (2, 2), (5, 5)],
+    [(1, 1), (-2, -2)],
+    [(1, 0), (-1, 0)],
+    [(1, 0), (-1, 0), (0, 1)],
+    [(2, 3), (-2, -3), (1, 0), (0, 1)],
+    [(0, 0), (1, 2), (3, 1)],
+    [(1, 0), (0, 1), (-1, 0)],
+    [(1, 1), (-1, -1), (1, -1)],
+    [(1, 0), (0, 1), (-1, -1)],
+    [(1, 0), (0, 1), (-1, 0), (0, -1)],
+    [(1, 0), (-1, 1), (0, -1)],
+    [(1, 0), (0, 1), (-1, 1)],
+    [(1, 0), (1, 1), (1, 2), (1, 3)],
+    [(5, -3), (-5, 4)],
+    [(5, -3), (-5, 3), (1, 1)],
+    [(10**9, 1), (10**9, -1)],
+]
+
+
+def _rank2_row_sets(count: int, seed: int):
+    """Seeded rank-2 row lists: random rows, some with duplicates, scaled
+    copies, opposites or zero rows mixed in."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        bound = rng.choice((1, 2, 3, 10, 1000))
+        rows = [
+            (rng.randint(-bound, bound), rng.randint(-bound, bound))
+            for _ in range(rng.randint(1, 7))
+        ]
+        extra = rng.choice(("none", "duplicate", "scaled", "opposite", "zero"))
+        r = rng.choice(rows)
+        if extra == "duplicate":
+            rows.append(r)
+        elif extra == "scaled":
+            rows.append(tuple(rng.randint(2, 4) * x for x in r))
+        elif extra == "opposite":
+            rows.append(tuple(-x for x in r))
+        elif extra == "zero":
+            rows.append((0, 0))
+        rng.shuffle(rows)
+        yield rows
+
+
+class TestRank2DualDescription:
+    """dual_description at n = 2 against the general method, which it must
+    equal byte for byte, and which it must skip exactly when the rows span
+    a pointed 2D cone, the case whose answer is no lineality and two rays."""
+
+    def _check(self, row_sets, monkeypatch):
+        general = nashtoric.cones._double_description
+        fell_back = []
+
+        def counted(rows, n):
+            fell_back.append(None)
+            return general(rows, n)
+
+        monkeypatch.setattr("nashtoric.cones._double_description", counted)
+        fast = 0
+        for rows in row_sets:
+            want = general({make_primitive(r) for r in rows if any(r)}, 2)
+            fell_back.clear()
+            assert dual_description(rows, 2) == want, rows
+            pointed = not want[0] and len(want[1]) == 2
+            assert fell_back == ([] if pointed else [None]), rows
+            fast += pointed
+        return fast
+
+    def test_edge_inputs(self, monkeypatch):
+        assert self._check(RANK2_EDGE_ROWS, monkeypatch) == 6
+
+    def test_seeded_row_sets(self, monkeypatch):
+        fast = self._check(_rank2_row_sets(2500, 20261020), monkeypatch)
+        assert 500 < fast < 2500
 
 
 class TestPredicates:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import itertools
+import math
 import multiprocessing
 import os
 import pickle
@@ -216,6 +217,31 @@ class TestResolutionSubgraph:
         for other in stores[1:]:
             assert stores[0].vertices == other.vertices
             assert stores[0].edges == other.edges
+
+
+class TestRank2ResolutionTheorem:
+    """Normalized Nash blowups resolve toric surfaces in characteristic 0
+    (Gonzalez-Sprinberg 1977).  Every non-smooth 2D cone is equivalent to
+    cone((0, 1), (d, -k)) with 0 < k < d and gcd(d, k) = 1, and two of these
+    are equivalent iff they have the same d and k' is k or k^-1 mod d."""
+
+    CASES = [
+        (d, k) for d in range(2, 41) for k in range(1, d) if math.gcd(d, k) == 1
+    ]
+
+    def test_every_cyclic_quotient_up_to_40_resolves(self):
+        assert len(self.CASES) == 489
+        store = DigraphStore("normalized", 0, 2)
+        keys = []
+        for d, k in self.CASES:
+            C = Cone([(0, 1), (d, -k)])
+            assert isinstance(resolution_subgraph(store, C), Complete), (d, k)
+            keys.append(canonical_cone(C)[0].serialization)
+        assert store.vertex_count() == 303
+        assert find_cycles(store) == []
+        # Equal keys exactly on the classes (d, {k, k^-1 mod d}).
+        classes = [(d, min(k, pow(k, -1, d))) for d, k in self.CASES]
+        assert len(set(keys)) == len(set(classes)) == len(set(zip(keys, classes)))
 
 
 class TestFindCycles:
