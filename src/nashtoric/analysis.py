@@ -11,7 +11,7 @@ and unimodularity flags.
 from dataclasses import asdict, dataclass
 
 from .cones import Cone
-from .linalg import IntMatrix, Vector, lattice_index, smith_normal_form, solve_integer
+from .linalg import Vector, column_index, smith_rows, solve_columns
 from .semigroups import hilbert_basis
 
 
@@ -44,16 +44,16 @@ def analyze(C: Cone) -> AnalysisReport:
     C.check_pointed_full_dimensional("analyze")
     n = C.ambient_rank
     simplicial = C.is_simplicial()
-    index = lattice_index(IntMatrix.from_columns(C.rays)) if simplicial else None
+    index = column_index(C.rays) if simplicial else None
 
     dual_rays = C.facet_normals  # primitive rays of the dual cone in N
-    witness = solve_integer(IntMatrix(dual_rays), (1,) * len(dual_rays))
+    witness = solve_columns(tuple(zip(*dual_rays)), (1,) * len(dual_rays))
     gorenstein = witness is not None
 
     cyclic = False
     factors: tuple[int, ...] | None = None
     if simplicial:
-        factors, _, _ = smith_normal_form(IntMatrix.from_columns(dual_rays))
+        factors, _, _ = smith_rows(tuple(zip(*dual_rays)))
         cyclic = sum(1 for f in factors if f > 1) <= 1
 
     count = len(hilbert_basis(C))

@@ -7,7 +7,7 @@ are unimodularly equivalent: left-multiplying by a unimodular matrix does
 not change any HNF, and column order is searched exhaustively.
 
 At ambient rank 2 there are two column orders: the key is the greater of
-their two HNFs (linalg.hermite_normal_form), with the transform of each
+their two HNFs (linalg.hermite_rows), with the transform of each
 order that ties it, and the two count 2 against DEFAULT_SEARCH_CAP.
 
 At any other rank a unimodular cone needs no search: every column order
@@ -46,7 +46,7 @@ from operator import mul
 
 from .cones import Cone
 from .errors import InputError, SearchCapExceeded
-from .linalg import IntMatrix, Vector, dot, hermite_normal_form
+from .linalg import IntMatrix, Vector, dot, hermite_rows, identity
 from .linalg import hnf_reduce, hnf_top_entry
 from .semigroups import AffineSemigroup
 
@@ -140,7 +140,7 @@ def _max_hnf_over_permutations(
     best_us: list[tuple] = []
 
     # A node: (U, r, committed columns, their row-0 entries, columns left).
-    stack = [(IntMatrix.identity(n).data, 0, [], (), frozenset(range(m)))]
+    stack = [(identity(n), 0, [], (), frozenset(range(m)))]
     while stack:
         U, r, prefix, row0, remaining = stack.pop()
         j = len(prefix)
@@ -198,24 +198,24 @@ def _unimodular_cone_data(rays: tuple[Vector, ...], n: int):
 
     Every column order R P of the ray matrix R has the identity as its
     HNF, realized by (R P)^-1 = P^-1 R^-1: the n! row orders of R^-1,
-    which is the U of hermite_normal_form(R).  They count against
+    which is the U of hermite_rows(R).  They count against
     DEFAULT_SEARCH_CAP as the placed columns of a search do."""
     if factorial(n) > DEFAULT_SEARCH_CAP:
         raise SearchCapExceeded(DEFAULT_SEARCH_CAP)
-    _, inverse = hermite_normal_form(IntMatrix.from_columns(rays))
-    key = CanonicalKey.from_matrix(IntMatrix.identity(n))
+    _, inverse = hermite_rows(tuple(zip(*rays)))
+    key = CanonicalKey.from_matrix(IntMatrix(identity(n)))
     # Permutations of sorted rows come out in sorted order.
-    return key, tuple(permutations(sorted(inverse.data)))
+    return key, tuple(permutations(sorted(inverse)))
 
 
 def _two_order_cone_data(rays: tuple[Vector, ...]):
     """Key and transforms of a pointed full-dimensional 2D cone."""
     if DEFAULT_SEARCH_CAP < 2:
         raise SearchCapExceeded(DEFAULT_SEARCH_CAP)
-    forms = [hermite_normal_form(IntMatrix.from_columns(o)) for o in (rays, rays[::-1])]
-    best = max(forms, key=lambda f: f[0].data)[0]
-    us = sorted(U.data for H, U in forms if H == best)
-    return CanonicalKey.from_matrix(best), tuple(us)
+    forms = [hermite_rows(tuple(zip(*o))) for o in (rays, rays[::-1])]
+    best = max(H for H, _ in forms)
+    us = sorted(U for H, U in forms if H == best)
+    return CanonicalKey.from_matrix(IntMatrix(best)), tuple(us)
 
 
 def _canonical_cone_data(C: Cone):
@@ -229,7 +229,7 @@ def _canonical_cone_data(C: Cone):
         if C.is_unimodular():
             return _unimodular_cone_data(C.rays, C.ambient_rank)
         cols, us = _max_hnf_over_permutations(C.rays, C.ambient_rank)
-        key = CanonicalKey.from_matrix(IntMatrix.from_columns(cols))
+        key = CanonicalKey.from_matrix(IntMatrix(zip(*cols)))
         return key, tuple(us)
 
     return C._cached("canonical", compute)
@@ -247,7 +247,7 @@ def canonical_semigroup(S: AffineSemigroup) -> CanonicalKey:
     def compute():
         _, us = _canonical_cone_data(S.hull)
         images = (sorted(tuple(dot(row, g) for row in U) for g in S.generators) for U in us)
-        return CanonicalKey.from_matrix(IntMatrix.from_columns(min(images, key=_row_major)))
+        return CanonicalKey.from_matrix(IntMatrix(zip(*min(images, key=_row_major))))
 
     return S._cached("canonical", compute)
 

@@ -19,9 +19,9 @@ from .errors import InputError, NotFullRankError, NotPointedError
 from .linalg import (
     IntMatrix,
     Vector,
+    _bareiss,
     dot,
-    hermite_normal_form,
-    determinant,
+    hermite_rows,
     int_tuple,
     make_primitive,
 )
@@ -138,8 +138,8 @@ def _double_description(rows, n: int) -> tuple[tuple[Vector, ...], tuple[Vector,
 
     lin_out: tuple[Vector, ...] = ()
     if lineality:
-        H, _ = hermite_normal_form(IntMatrix(lineality))
-        lin_out = tuple(make_primitive(r) for r in H.data if any(r))
+        H, _ = hermite_rows(lineality)
+        lin_out = tuple(make_primitive(r) for r in H if any(r))
     ray_out = tuple(sorted({v for v, _ in rays}))
     return lin_out, ray_out
 
@@ -231,12 +231,12 @@ class Cone:
         return self.is_pointed() and len(self.rays) == self._n
 
     def is_unimodular(self) -> bool:
-        return (
-            self.is_simplicial()
-            and abs(determinant(IntMatrix.from_columns(self.rays))) == 1
-        )
+        return self.is_simplicial() and abs(_bareiss(list(self.rays), self._n)[0]) == 1
 
     def contains(self, v: Sequence[int]) -> bool:
+        v = int_tuple(v)
+        if len(v) != self._n:
+            raise InputError("vector length does not match the ambient rank")
         return all(dot(a, v) >= 0 for a in self.inequality_rows())
 
     def dual(self) -> "Cone":

@@ -23,7 +23,7 @@ from .blowup import nash_children, normalized_nash_children
 from .canonical import CanonicalKey, canonical_cone, canonical_semigroup
 from .cones import Cone
 from .errors import InputError, NashToricError, StoreError
-from .linalg import IntMatrix, check_characteristic, int_tuple
+from .linalg import IntMatrix, Rows, check_characteristic, identity, int_tuple
 from .semigroups import AffineSemigroup
 
 STORE_VERSION = 1
@@ -31,11 +31,11 @@ MODES = ("nash", "normalized")
 _decode = json.JSONDecoder().decode
 
 
-def _vertex(mode: str, payload: IntMatrix):
+def _vertex(mode: str, payload: Rows):
     """The mode's semigroup or cone generated by the columns of payload."""
     if mode == "nash":
-        return AffineSemigroup(payload.columns(), assume_minimal=True)
-    return Cone(payload)
+        return AffineSemigroup(zip(*payload), assume_minimal=True)
+    return Cone(zip(*payload))
 
 
 def _key(obj) -> CanonicalKey:
@@ -47,7 +47,7 @@ def _key(obj) -> CanonicalKey:
 
 def epsilon_key(mode: str, rank: int) -> CanonicalKey:
     """Canonical key of the unimodular vertex for the given mode."""
-    return _key(_vertex(mode, IntMatrix.identity(rank)))
+    return _key(_vertex(mode, identity(rank)))
 
 
 def _check_rows(rows) -> None:
@@ -228,8 +228,8 @@ def _compute_children(mode: str, characteristic: int, key: str) -> tuple[str, ..
     byte-equal to the store's epsilon, and in normalized mode
     normalized_nash_children has cached every child's key."""
     step = nash_children if mode == "nash" else normalized_nash_children
-    matrix = CanonicalKey.parse(key).matrix
-    kids = step(_vertex(mode, matrix), characteristic)
+    rows = CanonicalKey.parse(key).matrix.data
+    kids = step(_vertex(mode, rows), characteristic)
     return tuple(sorted({_key(child).serialization for child in kids}))
 
 

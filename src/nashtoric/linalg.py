@@ -1,8 +1,14 @@
 """Exact arbitrary-precision integer linear algebra.
 
 Normal forms (Hermite, Smith), determinants, primitivity, lattice indices
-and modular basis tests.  All arithmetic uses Python integers, so results
-are exact for every input; nothing here ever touches floating point.
+and modular basis tests, in Python integers only, so results are exact.
+
+Inside the package a matrix is Rows, a tuple of row tuples of Python
+ints, which the kernels take and return unchecked.  A value from outside
+is checked once, where it enters: by the functions and constructors of
+__all__, parse_matrix, CanonicalKey.parse and DigraphStore.load.
+IntMatrix, the checked public type, appears only there and where a value
+leaves, as a CanonicalKey's matrix; the public kernels read its data.
 
 The Hermite normal form convention is row-style: each row's pivot (first
 nonzero entry) lies strictly to the right of the pivot above, pivots are
@@ -10,29 +16,29 @@ positive, and entries above a pivot are nonnegative and strictly smaller
 than the pivot.  hnf_reduce computes one column of it from the column's
 image u = U * col under the transform U of the earlier columns.  One
 loop, _hnf_rows, reduces rows in place with it, each column of the rows
-its own u: hermite_normal_form reduces [A | I] over the columns of A to
-[H | U], and lattice_basis_of_columns the generators as rows.  The
-canonical-form search of canonical.py forms each u once, previews its
-row-0 entry with hnf_top_entry (all the search's bound needs to reject a
-column) and places it with hnf_reduce, so the convention behind
-canonical keys lives here alone.
+its own u: hermite_rows reduces [A | I] over the columns of A to [H | U],
+and column_basis the generators as rows.  The canonical-form search of
+canonical.py forms each u once, previews its row-0 entry with
+hnf_top_entry (all the search's bound needs to reject a column) and
+places it with hnf_reduce, so the convention behind canonical keys lives
+here alone.
 
-Elimination has two kernels.  The Smith form, lattice_index and
-solve_integer are built from the Hermite form.  One echelon step,
-reduce_independent, over Q or GF(p), drives the one greedy run,
-independent, which gives rank, the greedy bases of blowup.py and the seed
-of the placing triangulation of semigroups.py.
-determinant and adjugate share one fraction-free Gauss-Jordan pass
-(Bareiss 1968); the adjugate is that pass over [M | I].
+The Smith form and solve_columns are built from hermite_rows.  One
+echelon step, reduce_independent, over Q or GF(p), drives the one greedy
+run, independent, which gives rank, the greedy bases of blowup.py and the
+seed of the placing triangulation of semigroups.py.  Determinants and the
+adjugate share one fraction-free Gauss-Jordan pass, _bareiss (Bareiss
+1968); the adjugate is that pass over [M | I].
 """
 
 from collections.abc import Iterable, Sequence
 from math import gcd, prod
-from operator import index, mul
+from operator import add, index, mul
 
 from .errors import InputError, NotFullRankError
 
 Vector = tuple[int, ...]
+Rows = tuple[Vector, ...]
 
 
 def int_tuple(values: Iterable) -> Vector:
@@ -61,9 +67,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        if n < 1:
-            raise InputError("identity size must be >= 1")
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(identity(n))
 
     @classmethod
     def from_columns(cls, columns: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -101,10 +105,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise InputError("matrix dimensions do not match for multiplication")
-        cols = other.columns()
-        return IntMatrix(
-            tuple(tuple(dot(r, c) for c in cols) for r in self._data)
-        )
+        return IntMatrix(matmul(self._data, other._data))
 
     def mult_vector(self, v: Sequence[int]) -> Vector:
         if len(v) != self.cols:
@@ -125,8 +126,19 @@ class IntMatrix:
         return f"IntMatrix([{body}])"
 
 
+def identity(n: int) -> Rows:
+    if n < 1:
+        raise InputError("identity size must be >= 1")
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+
+
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
+
+
+def matmul(A: Rows, B: Rows) -> Rows:
+    cols = tuple(zip(*B))
+    return tuple(tuple(dot(r, c) for c in cols) for r in A)
 
 
 def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
@@ -207,16 +219,19 @@ def _hnf_rows(rows: tuple[Vector, ...], width: int) -> tuple[tuple[Vector, ...],
     return rows, r
 
 
-def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
+def hermite_rows(rows: Rows) -> tuple[Rows, Rows]:
+    """Row-style Hermite normal form (H, U) of A: U * A = H, |det U| = 1,
+    and H the unique matrix in Hermite normal form with the row lattice of
+    A.  The rows of [A | I] are reduced over the columns of A to [H | U]."""
+    n = len(rows[0])
+    rows, _ = _hnf_rows(tuple(map(add, rows, identity(len(rows)))), n)
+    return tuple(row[:n] for row in rows), tuple(row[n:] for row in rows)
 
-    Returns (H, U) with U * A = H, |det U| = 1, and H the unique matrix in
-    Hermite normal form with the same row lattice as A.  The rows of
-    [A | I] are reduced over the columns of A, which leaves [H | U]."""
-    m, n = A.rows, A.cols
-    rows = tuple(a + (0,) * i + (1,) + (0,) * (m - 1 - i) for i, a in enumerate(A.data))
-    rows, _ = _hnf_rows(rows, n)
-    return IntMatrix(row[:n] for row in rows), IntMatrix(row[n:] for row in rows)
+
+def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """hermite_rows of A as (H, U)."""
+    H, U = hermite_rows(A.data)
+    return IntMatrix(H), IntMatrix(U)
 
 
 def _bareiss(rows: list[list[int]], n: int) -> tuple[int, list[list[int]]]:
@@ -255,20 +270,15 @@ def adjugate(cols: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     columns are cols, so that M * adj = det(M) * I: the right block of
     [M | I] after one fraction-free elimination pass."""
     n = len(cols)
-    rows = [
-        list(row) + [int(i == j) for j in range(n)]
-        for i, row in enumerate(zip(*cols))
-    ]
-    det, rows = _bareiss(rows, n)
+    det, rows = _bareiss(list(map(add, zip(*cols), identity(n))), n)
     if not det:
         raise NotFullRankError("adjugate needs a nonsingular matrix")
     return tuple(tuple(row[n:]) for row in rows)
 
 
-def smith_normal_form(
-    A: IntMatrix,
-) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
-    """Smith normal form: (invariant_factors, left, right).
+def smith_rows(rows: Rows) -> tuple[tuple[int, ...], Rows, Rows]:
+    """Smith normal form of the nonempty rows A: (invariant_factors, left,
+    right).
 
     left * A * right is diagonal with the positive invariant factors on the
     diagonal (padded with zeros), each factor dividing the next; left and
@@ -279,22 +289,28 @@ def smith_normal_form(
     factor d_i does not divide d_i+1, column i+1 is added to column i:
     the next row form puts gcd(d_i, d_i+1) < d_i at (i, i) and leaves the
     entries before it alone, so the diagonal falls in divisor order."""
-    D, L, R = A, IntMatrix.identity(A.rows), IntMatrix.identity(A.cols)
+    m, n = len(rows), len(rows[0])
+    D, L, R = tuple(rows), identity(m), identity(n)
     while True:
-        H, U = hermite_normal_form(D)
-        G, V = hermite_normal_form(H.transpose())
-        L, R = U @ L, R @ V.transpose()
-        if H != D or G != D.transpose():
-            D = G.transpose()
+        H, U = hermite_rows(D)
+        G, V = hermite_rows(tuple(zip(*H)))
+        L, R = matmul(U, L), matmul(R, tuple(zip(*V)))
+        if H != D or G != tuple(zip(*D)):
+            D = tuple(zip(*G))
             continue
-        d = [D.data[i][i] for i in range(min(A.rows, A.cols))]
+        d = [D[i][i] for i in range(min(m, n))]
         i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
         if i is None:
             return tuple(x for x in d if x), L, R
-        E = IntMatrix.identity(A.cols).to_lists()
+        E = [list(row) for row in identity(n)]
         E[i + 1][i] = 1
-        E = IntMatrix(E)
-        D, R = D @ E, R @ E
+        D, R = matmul(D, E), matmul(R, E)
+
+
+def smith_normal_form(A: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+    """smith_rows of A as (invariant_factors, left, right)."""
+    factors, L, R = smith_rows(A.data)
+    return factors, IntMatrix(L), IntMatrix(R)
 
 
 def reduce_independent(rows: Sequence, v: Sequence[int], p: int):
@@ -337,10 +353,8 @@ def rank(rows: Iterable[Sequence[int]]) -> int:
 
 
 def lattice_index(A: IntMatrix) -> int:
-    """Index in Z^n of the sublattice spanned by the columns of A: the
-    product of the diagonal of its column-HNF basis."""
-    B = lattice_basis_of_columns(A)
-    return prod(B.data[i][i] for i in range(B.rows))
+    """column_index of the columns of A."""
+    return column_index(A.columns())
 
 
 def is_prime(p: int) -> bool:
@@ -387,16 +401,14 @@ def is_basis_modulo(columns: Sequence[Sequence[int]], p: int) -> bool:
     return d != 0 if p == 0 else d % p != 0
 
 
-def solve_integer(A: IntMatrix, b: Sequence[int]) -> Vector | None:
-    """One integer solution x of A x = b, or None when none exists."""
-    if len(b) != A.rows:
-        raise InputError("right-hand side length does not match")
-    # Row-HNF of the transpose gives A * U^T = H^T: solve H^T y = b by
+def solve_columns(cols: Rows, b: Sequence[int]) -> Vector | None:
+    """One integer x with sum x_i cols_i = b, or None when none exists."""
+    # Row-HNF of the columns as rows gives U * cols = H: solve H^T y = b by
     # substituting down the rows of H, then x = U^T y.
-    H, U = hermite_normal_form(A.transpose())
+    H, U = hermite_rows(cols)
     residual = list(b)
     y = []
-    for hrow in H.data:
+    for hrow in H:
         pos = next((i for i, x in enumerate(hrow) if x), None)
         if pos is None:
             break
@@ -407,21 +419,34 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Vector | None:
         residual = [x - yk * h for x, h in zip(residual, hrow)]
     if any(residual):
         return None
-    return tuple(dot(col, y) for col in zip(*U.data))
+    return tuple(dot(col, y) for col in zip(*U))
+
+
+def solve_integer(A: IntMatrix, b: Sequence[int]) -> Vector | None:
+    """One integer solution x of A x = b, or None when none exists."""
+    if len(b) != A.rows:
+        raise InputError("right-hand side length does not match")
+    return solve_columns(A.columns(), b)
+
+
+def column_basis(cols: Rows) -> Rows:
+    """Canonical (column-HNF) basis of the lattice the vectors cols span, of
+    full rank n: the first n rows of their row-style HNF, the rest zero."""
+    n = len(cols[0])
+    rows, r = _hnf_rows(tuple(cols), n)
+    if r < n:
+        raise NotFullRankError("columns do not span a full-rank lattice")
+    return rows[:n]
+
+
+def column_index(cols: Rows) -> int:
+    """Index in Z^n of the lattice the vectors cols span."""
+    return prod(b[i] for i, b in enumerate(column_basis(cols)))
 
 
 def lattice_basis_of_columns(A: IntMatrix) -> IntMatrix:
-    """Canonical (column-HNF) basis matrix of the lattice spanned by the
-    columns of A.  Requires full row rank; the result is n x n.
-
-    The columns of A, as k rows n wide, are reduced by _hnf_rows.  With n
-    pivots the first n rows of their row-style HNF are the basis vectors,
-    the rest zero."""
-    n = A.rows
-    rows, r = _hnf_rows(A.columns(), n)
-    if r < n:
-        raise NotFullRankError("columns do not span a full-rank lattice")
-    return IntMatrix(zip(*rows[:n]))
+    """The column_basis of the columns of A, as columns."""
+    return IntMatrix(zip(*column_basis(A.columns())))
 
 
 def parse_matrix(text: str) -> IntMatrix:

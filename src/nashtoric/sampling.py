@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .canonical import canonical_cone
 from .cones import Cone
 from .errors import InputError
-from .linalg import check_characteristic, int_tuple
+from .linalg import check_characteristic, column_index, int_tuple
 from .semigroups import AffineSemigroup, _minimalize
 from .digraph import MODES, Complete, DigraphStore, _explore, _Prefetcher, check_budgets
 from .digraph import find_cycles, vertex_key
@@ -69,12 +69,12 @@ def _random_semigroup(rng: random.Random, n: int, entry_bound: int) -> AffineSem
         if len(cols) < n:
             continue
         C = Cone(cols)
-        if not (C.is_full_dimensional() and C.is_pointed()):
+        # The minimal generators span the same group as cols.
+        if not (C.is_full_dimensional() and C.is_pointed() and column_index(cols) == 1):
             continue
         S = AffineSemigroup(_minimalize(tuple(sorted(set(cols))), C), assume_minimal=True)
         S._cache["hull"] = C
-        if S.is_full_lattice():
-            return S
+        return S
 
 
 def sample_random(

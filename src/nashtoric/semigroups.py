@@ -16,7 +16,6 @@ whose grade is at most its own.
 import itertools
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
-from functools import cached_property
 from operator import sub
 
 from .cones import Cone
@@ -25,12 +24,15 @@ from .linalg import (
     IntMatrix,
     Vector,
     adjugate,
+    column_basis,
+    column_index,
     dot,
+    identity,
     independent,
     int_tuple,
     lattice_basis_of_columns,
-    lattice_index,
     rank,
+    solve_columns,
     solve_integer,
 )
 
@@ -74,8 +76,7 @@ def _parallelepiped_points(cols: Sequence[Vector]) -> list[Vector]:
         return []
     # Column-HNF basis of the sublattice spanned by cols; the residues of
     # Z^n modulo the sublattice are the boxes under its diagonal.
-    B = lattice_basis_of_columns(IntMatrix.from_columns(cols))
-    diag = [B.data[i][i] for i in range(n)]
+    diag = [b[i] for i, b in enumerate(column_basis(cols))]
     out = []
     for tup in itertools.product(*(range(dd) for dd in diag)):
         # Map the residue representative into the parallelepiped.
@@ -156,7 +157,7 @@ class AffineSemigroup:
 
     @classmethod
     def standard(cls, n: int) -> "AffineSemigroup":
-        return cls(IntMatrix.identity(n).columns(), assume_minimal=True)
+        return cls(identity(n), assume_minimal=True)
 
     @property
     def ambient_rank(self) -> int:
@@ -178,8 +179,7 @@ class AffineSemigroup:
 
     def is_full_lattice(self) -> bool:
         """True iff the generators span all of Z^n as a lattice."""
-        gens = IntMatrix.from_columns(self._gens)
-        return self.hull.is_full_dimensional() and lattice_index(gens) == 1
+        return self.hull.is_full_dimensional() and column_index(self._gens) == 1
 
     def is_unimodular(self) -> bool:
         return len(self._gens) == self._n and self.is_full_lattice()
@@ -204,16 +204,13 @@ class _MembershipSolver:
     The grade of a point is the sum of its evaluations, which is positive on
     every nonzero generator; one depth-first search, graded by it, answers
     every query.  A node only subtracts generators of grade at most its own,
-    found by bisection in the generators sorted by decreasing grade.  member
-    first rejects a point outside the group the generators span, which the
-    search could only learn by exhausting every node below it."""
+    found by bisection in the generators sorted by decreasing grade."""
 
     def __init__(self, gens: Sequence[Vector], hull: Cone):
         """hull is the cone that gens span, which must be pointed; evals
         maps each generator to its values on the hull's inequality rows."""
         if not hull.is_pointed():
             raise NotPointedError("generators span a non-pointed cone")
-        self.gens = gens
         self.facets = hull.inequality_rows()
         self.evals = facet_values(gens, self.facets)
         self.gen_evals = sorted(set(self.evals.values()), key=lambda e: (-sum(e), e))
@@ -257,25 +254,23 @@ class _MembershipSolver:
                 stack.pop()
         return False
 
-    @cached_property
-    def _lattice(self) -> IntMatrix:
-        return IntMatrix.from_columns(self.gens)
-
-    def member(self, v: Sequence[int]) -> bool:
-        ev = tuple(dot(f, v) for f in self.facets)
-        if min(ev) < 0 or solve_integer(self._lattice, v) is None:
-            return False
-        return self.member_evals(ev)
-
 
 def semigroup_member(S, v: Sequence[int]) -> bool:
     """True iff v is a nonnegative integer combination of the generators.
 
     S may be an AffineSemigroup or a raw iterable of generators spanning a
-    pointed cone."""
+    pointed cone.  A point outside their group is rejected before the
+    search, which could only learn it by exhausting every node below it."""
     if not isinstance(S, AffineSemigroup):
         S = AffineSemigroup(S, assume_minimal=True)
-    return S._membership_solver().member(int_tuple(v))
+    solver = S._membership_solver()
+    v = int_tuple(v)
+    if len(v) != S.ambient_rank:
+        raise InputError("right-hand side length does not match")
+    ev = tuple(dot(f, v) for f in solver.facets)
+    if min(ev) < 0 or solve_columns(S.generators, v) is None:
+        return False
+    return solver.member_evals(ev)
 
 
 def _minimalize(gens: tuple[Vector, ...], hull: Cone | None = None) -> tuple[Vector, ...]:

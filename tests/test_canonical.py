@@ -16,6 +16,7 @@ from nashtoric import (
     canonical_semigroup,
     hermite_normal_form,
     minimal_generators,
+    nash_children,
 )
 from nashtoric.canonical import _canonical_cone_data, _max_hnf_over_permutations
 from nashtoric.digraph import epsilon_key
@@ -279,6 +280,36 @@ class TestCanonicalSemigroup:
         S1 = AffineSemigroup([(1, 0), (0, 1)])
         S2 = AffineSemigroup([(2, 0), (3, 0), (0, 1), (1, 1)])
         assert canonical_semigroup(S1) != canonical_semigroup(S2)
+
+
+class TestRowTupleInterior:
+    """Inside the package a matrix is a tuple of row tuples: an IntMatrix,
+    whose construction checks every entry, is built only where a value
+    leaves, as a key's matrix."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = []
+        init = IntMatrix.__init__
+
+        def counted(self, rows):
+            counts.append(1)
+            init(self, rows)
+
+        monkeypatch.setattr(IntMatrix, "__init__", counted)
+        return counts
+
+    def test_a_nash_step_builds_no_matrix(self, built):
+        S = AffineSemigroup([(0, 1), (1, 0), (3, 5)])
+        built.clear()
+        nash_children(S, 0)
+        assert len(built) == 0
+
+    def test_a_rank2_semigroup_key_builds_its_two_keys(self, built):
+        S = AffineSemigroup([(0, 1), (1, 0), (3, 5)])
+        built.clear()
+        canonical_semigroup(S)
+        assert len(built) == 2
 
 
 class TestAreEquivalent:

@@ -217,6 +217,17 @@ class TestContains:
             for g in C.generators:
                 assert C.contains(g)
 
+    @pytest.mark.parametrize("v", [(1,), (), (1, 1, 1), (1, 1, -1)])
+    def test_wrong_length_raises(self, v):
+        """zip would compare only the first entries and answer True."""
+        with pytest.raises(InputError, match="length does not match the ambient rank"):
+            QUADRANT.contains(v)
+
+    @pytest.mark.parametrize("v", [(0.5, 1), (1.0, 1), ("1", 0)])
+    def test_non_integer_entries_raise(self, v):
+        with pytest.raises(InputError, match="entries must be integers"):
+            QUADRANT.contains(v)
+
     def test_against_caratheodory_oracle(self):
         rng = random.Random(37)
         checked = 0

@@ -7,6 +7,7 @@ import pytest
 from nashtoric import (
     AffineSemigroup,
     Cone,
+    InputError,
     IntMatrix,
     NotFullRankError,
     NotPointedError,
@@ -136,6 +137,13 @@ class TestMembership:
 
     def test_zero_is_member(self):
         assert semigroup_member([(2,), (3,)], (0,))
+
+    @pytest.mark.parametrize("v", [(1, 0, 5), (-1, 0, 5), (2,), (-2,), ()])
+    def test_wrong_length_raises_whatever_the_signs(self, v):
+        """The length is checked before the facet values, which a negative
+        first entry once made False."""
+        with pytest.raises(InputError, match="right-hand side length does not match"):
+            semigroup_member([(1, 0), (0, 1)], v)
 
     def test_random_roundtrip(self):
         rng = random.Random(67)
