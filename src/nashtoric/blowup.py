@@ -31,8 +31,8 @@ from operator import lt
 from .canonical import canonical_cone
 from .cones import Cone
 from .errors import BasisCapExceeded, InputError, NotFullRankError, NotPointedError
-from .linalg import Vector, adjugate, check_characteristic, dot, independent
-from .linalg import make_primitive, vec_sub
+from .linalg import Vector, adjugate, check_characteristic, dot, identity
+from .linalg import independent, make_primitive, vec_sub
 from .semigroups import AffineSemigroup, _minimalize, facet_values, hilbert_basis
 
 DEFAULT_BASIS_CAP = 10**6
@@ -163,9 +163,7 @@ def reeves_cone(n: int, j: int) -> Cone:
     """The Reeves cone: e_1, ..., e_{n-1} together with (1, ..., 1, j)."""
     if n < 2 or j < 1:
         raise InputError("reeves_cone needs rank >= 2 and j >= 1")
-    cols = [
-        tuple(1 if i == k else 0 for i in range(n)) for k in range(n - 1)
-    ]
-    cols.append(tuple([1] * (n - 1) + [j]))
+    cols = list(identity(n)[: n - 1])
+    cols.append((1,) * (n - 1) + (j,))
     return Cone(cols)
 

@@ -1,7 +1,8 @@
 """Exact arbitrary-precision integer linear algebra.
 
 Normal forms (Hermite, Smith), determinants, primitivity, lattice indices
-and modular basis tests, in Python integers only, so results are exact.
+and modular basis tests.  All arithmetic uses Python integers, so results
+are exact for every input; nothing here ever touches floating point.
 
 Inside the package a matrix is Rows, a tuple of row tuples of Python
 ints, which the kernels take and return unchecked.  A value from outside
