@@ -211,7 +211,7 @@ def hnf_top_entry(u: Sequence[int], r: int) -> int:
     return u[0] % g if g else u[0]
 
 
-def _hnf_rows(rows: tuple[Vector, ...], width: int) -> tuple[tuple[Vector, ...], int]:
+def _hnf_rows(rows: Rows, width: int) -> tuple[Rows, int]:
     """The rows reduced in place by hnf_reduce, column j of them at step j
     for the first width columns, and the number of pivots found."""
     r = 0
@@ -235,7 +235,7 @@ def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix(H), IntMatrix(U)
 
 
-def _bareiss(rows: list[list[int]], n: int) -> tuple[int, list[list[int]]]:
+def _bareiss(rows: list[Sequence[int]], n: int) -> tuple[int, list[Sequence[int]]]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the first n
     columns of n rows [M | B]: (det M, rows).  Every division is exact.  A
     swap negates the row it moves up, so no sign is tracked, and the rows
