@@ -32,7 +32,7 @@ from .canonical import canonical_cone
 from .cones import Cone
 from .errors import BasisCapExceeded, InputError, NotFullRankError, NotPointedError
 from .linalg import Vector, adjugate, check_characteristic, dot, identity
-from .linalg import independent, make_primitive, vec_sub
+from .linalg import independent, int_tuple, make_primitive, vec_sub
 from .semigroups import AffineSemigroup, _minimalize, facet_values, hilbert_basis
 
 DEFAULT_BASIS_CAP = 10**6
@@ -161,6 +161,7 @@ def nash_subdivision(sigma: Cone, p) -> Fan:
 
 def reeves_cone(n: int, j: int) -> Cone:
     """The Reeves cone: e_1, ..., e_{n-1} together with (1, ..., 1, j)."""
+    n, j = int_tuple((n, j))
     if n < 2 or j < 1:
         raise InputError("reeves_cone needs rank >= 2 and j >= 1")
     cols = list(identity(n)[: n - 1])

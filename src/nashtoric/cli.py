@@ -76,8 +76,6 @@ def _load_or_create_store(path, mode, char, rank) -> DigraphStore:
         if store.rank != rank:
             raise NashToricError(f"store rank {store.rank} != input rank {rank}")
         return store
-    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        raise NashToricError(f"cannot write the store {path}: no such directory")
     return DigraphStore(mode, char, rank)
 
 
@@ -85,6 +83,15 @@ def _not_a_dir(ctx, param, path):
     """A file path option given a directory is a usage error."""
     if path and os.path.isdir(path):
         raise click.BadParameter(f"{path!r} is a directory.")
+    return path
+
+
+def _writable(ctx, param, path):
+    """_not_a_dir, and a file in a missing directory cannot be written: an
+    error raised while the options are parsed, before any work."""
+    path = _not_a_dir(ctx, param, path)
+    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise NashToricError(f"cannot write the {param.opts[0][2:]} {path}: no such directory")
     return path
 
 
@@ -226,7 +233,7 @@ def subdivide(matrix_file, side, characteristic, as_json):
 @char_opt
 @json_opt
 @click.option(
-    "--store", "store_path", type=click.Path(), callback=_not_a_dir, help="persistent store file"
+    "--store", "store_path", type=click.Path(), callback=_writable, help="persistent store file"
 )
 @click.option("--max-vertices", type=int, default=10**6, show_default=True)
 @click.option("--max-seconds", type=float, default=86400.0, show_default=True)
@@ -331,7 +338,7 @@ def sample(mode, characteristic, as_json, rank, count, seed, entry_bound, max_ve
 
 @main.command(name="export-dot")
 @stored_opt
-@click.option("--output", "-o", type=click.Path(), callback=_not_a_dir)
+@click.option("--output", "-o", type=click.Path(), callback=_writable)
 def export_dot_cmd(store_path, output):
     """DOT rendering of a stored digraph."""
     store = DigraphStore.load(store_path)

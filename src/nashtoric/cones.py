@@ -80,7 +80,10 @@ def dual_description(
             u[0] * r[1] >= u[1] * r[0] and r[0] * v[1] >= r[1] * v[0] for r in rows
         ):
             return (), tuple(sorted({(-u[1], u[0]), (v[1], -v[0])}))
-    return _double_description(rows, n)
+    try:
+        return _double_description(rows, n)
+    except TypeError as exc:  # the rows are checked, so n is no integer
+        raise InputError(f"n must be an integer: {exc}") from None
 
 
 def _double_description(rows, n: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:

@@ -1,19 +1,21 @@
 """Persistent partial knowledge of the Nash and normalized Nash digraphs.
 
-A store holds each vertex once, as its canonical key, and the directed
-child edges.  A key spells out its canonical payload matrix: save and
-export_dot copy it from the key text, and only an expansion parses it.
+A store holds each vertex once, as its canonical key, with the sorted
+tuple of its children's keys, () while it is unexpanded.  A key spells
+out its canonical payload matrix: save and export_dot copy it from the
+key text, and only an expansion parses it.
 Exploration is the breadth-first resolution subgraph: one serial loop
 records each key's children in BFS order, offers the keys it will take to
 worker processes that compute them ahead, and stops when the reachable
 closure is complete or a budget runs out.  Stores round-trip through a
 JSON-lines file, which load reads in one pass in file order, and merge by
-set union when their metadata agree.
+union when their metadata agree.
 """
 
 import json
 import os
 import time
+from bisect import bisect_left
 from collections import deque
 from contextlib import AbstractContextManager, suppress
 from dataclasses import dataclass
@@ -63,7 +65,8 @@ def _check_rows(rows) -> None:
 
 class DigraphStore:
     """A partially known Nash digraph: _out maps each vertex, held only as
-    its canonical key, to the keys of its children."""
+    its canonical key, to the sorted tuple of its children's keys, each
+    once, or to the shared () while it is unexpanded."""
 
     def __init__(self, mode: str, characteristic: int, rank: int):
         if mode not in MODES:
@@ -75,7 +78,7 @@ class DigraphStore:
         self.characteristic = check_characteristic(characteristic)
         self.rank = rank
         eps = epsilon_key(mode, rank).serialization
-        self._out: dict[str, set[str]] = {eps: {eps}}
+        self._out: dict[str, tuple[str, ...]] = {eps: (eps,)}
         self.epsilon = eps
 
     @property
@@ -95,7 +98,7 @@ class DigraphStore:
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
-        """The (source, target) pairs, read from the out-neighbour sets."""
+        """The (source, target) pairs, read from the children tuples."""
         return frozenset((s, d) for s, dsts in self._out.items() for d in dsts)
 
     def add_vertex(self, key: str, matrix: IntMatrix) -> None:
@@ -113,15 +116,19 @@ class DigraphStore:
             )
         if key != CanonicalKey.serialize(rows):
             raise StoreError(f"key {key!r} does not serialize its payload")
-        self._out.setdefault(key, set())
+        self._out.setdefault(key, ())
 
     def add_edge(self, src: str, dst: str) -> None:
+        """Insert dst into the sorted children of src, unless already there."""
         if src not in self._out or dst not in self._out:
             raise StoreError("edge endpoints must be stored vertices")
-        self._out[src].add(dst)
+        dsts = self._out[src]
+        i = bisect_left(dsts, dst)
+        if i == len(dsts) or dsts[i] != dst:
+            self._out[src] = (*dsts[:i], dst, *dsts[i:])
 
     def children_of(self, key: str) -> tuple[str, ...]:
-        return tuple(sorted(self._out.get(key, ())))
+        return self._out.get(key, ())
 
     def is_expanded(self, key: str) -> bool:
         return bool(self._out.get(key))
@@ -133,15 +140,11 @@ class DigraphStore:
         return sum(len(dsts) for dsts in self._out.values())
 
     def merge(self, other: "DigraphStore") -> None:
-        if (self.mode, self.characteristic, self.rank) != (
-            other.mode,
-            other.characteristic,
-            other.rank,
-        ):
+        if self.meta != other.meta:
             raise StoreError("cannot merge stores with different metadata")
         # Each key of other was checked or serialized under the same rank.
         for key, dsts in other._out.items():
-            self._out.setdefault(key, set()).update(dsts)
+            self._out[key] = tuple(sorted({*self._out.get(key, ()), *dsts}))
 
     # -- persistence -------------------------------------------------------
 
@@ -238,7 +241,7 @@ def vertex_key(store: DigraphStore, obj) -> str:
     stored, and nothing is parsed; a cone or semigroup is canonicalized
     and its key added to the store."""
     if isinstance(obj, str):
-        if obj not in store._out:
+        if obj not in store.vertices:
             raise StoreError(f"unknown vertex key {obj!r}")
         return obj
     kind = AffineSemigroup if store.mode == "nash" else Cone
@@ -247,15 +250,15 @@ def vertex_key(store: DigraphStore, obj) -> str:
     if obj.ambient_rank != store.rank:
         raise StoreError("ambient rank does not match the store")
     key = _key(obj).serialization
-    store._out.setdefault(key, set())
+    store._out.setdefault(key, ())
     return key
 
 
 def _record(store: DigraphStore, key: str, children: tuple[str, ...]):
-    """Store the computed children of key and return them."""
+    """Store the computed children of the unexpanded key and return them."""
     for child in children:
-        store._out.setdefault(child, set())
-    store._out[key].update(children)
+        store._out.setdefault(child, ())
+    store._out[key] = children
     return children
 
 
@@ -264,9 +267,9 @@ def expand(store: DigraphStore, vertex):
     record them in the store, and return the sorted child keys.  Epsilon
     is expanded when the store is built, so it expands to itself."""
     key = vertex_key(store, vertex)
-    if store.is_expanded(key):
-        return store.children_of(key)
-    return _record(store, key, _compute_children(store.mode, store.characteristic, key))
+    return store.children_of(key) or _record(
+        store, key, _compute_children(store.mode, store.characteristic, key)
+    )
 
 
 @dataclass(frozen=True)
@@ -417,10 +420,7 @@ def _explore(store, start, max_vertices, max_seconds, ahead: _Prefetcher):
         if len(seen) - len(queue) >= max_vertices or time.monotonic() > deadline:
             return BudgetExhausted(tuple(queue), store.vertex_count(), store.edge_count())
         key = queue.popleft()
-        if store.is_expanded(key):
-            children = store.children_of(key)
-        else:
-            children = _record(store, key, ahead.children(key))
+        children = store.children_of(key) or _record(store, key, ahead.children(key))
         for child in children:
             if child not in seen:
                 # len(seen) is the child's place in BFS order.
@@ -428,7 +428,7 @@ def _explore(store, start, max_vertices, max_seconds, ahead: _Prefetcher):
                     offer(child)
                 seen.add(child)
                 queue.append(child)
-    return Complete(len(seen), sum(len(store._out[k]) for k in seen))
+    return Complete(len(seen), sum(len(store.children_of(k)) for k in seen))
 
 
 def _sccs(keys, out_edges) -> list[list[str]]:
@@ -495,7 +495,7 @@ def find_cycles(store: DigraphStore, max_report: int | None = None):
         queue = deque([source])
         while queue:
             v = queue.popleft()
-            if source in store._out[v]:
+            if source in store.children_of(v):
                 path = [v]
                 while path[-1] != source:
                     path.append(parent[path[-1]])

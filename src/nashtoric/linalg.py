@@ -24,12 +24,14 @@ hnf_top_entry (all the search's bound needs to reject a column) and
 places it with hnf_reduce, so the convention behind canonical keys lives
 here alone.
 
-The Smith form and solve_columns are built from hermite_rows.  One
-echelon step, reduce_independent, over Q or GF(p), drives the one greedy
-run, independent, which gives rank, the greedy bases of blowup.py and the
-seed of the placing triangulation of semigroups.py.  Determinants and the
-adjugate share one fraction-free Gauss-Jordan pass, _bareiss (Bareiss
-1968); the adjugate is that pass over [M | I].
+The Smith form is built from hermite_rows, and solve_columns is the
+substitution solve_hermite over it, which a caller with fixed columns can
+run over a cached hermite_rows.  One echelon step, reduce_independent,
+over Q or GF(p), drives the one greedy run, independent, which gives rank,
+the greedy bases of blowup.py and the seed of the placing triangulation
+of semigroups.py.  Determinants and the adjugate share one fraction-free
+Gauss-Jordan pass, _bareiss (Bareiss 1968); the adjugate is that pass
+over [M | I].
 """
 
 from collections.abc import Iterable, Sequence
@@ -68,6 +70,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        (n,) = int_tuple((n,))
         return cls(identity(n))
 
     @classmethod
@@ -148,7 +151,10 @@ def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
 
 def make_primitive(v: Sequence[int]) -> Vector:
     """Divide a nonzero integer vector by the gcd of its entries."""
-    g = gcd(*v)
+    try:
+        g = gcd(*v)
+    except TypeError as exc:
+        raise InputError(f"entries must be integers: {exc}") from None
     if g == 0:
         raise InputError("cannot primitivize the zero vector")
     return tuple(x // g for x in v)
@@ -402,11 +408,10 @@ def is_basis_modulo(columns: Sequence[Sequence[int]], p: int) -> bool:
     return d != 0 if p == 0 else d % p != 0
 
 
-def solve_columns(cols: Rows, b: Sequence[int]) -> Vector | None:
-    """One integer x with sum x_i cols_i = b, or None when none exists."""
-    # Row-HNF of the columns as rows gives U * cols = H: solve H^T y = b by
-    # substituting down the rows of H, then x = U^T y.
-    H, U = hermite_rows(cols)
+def solve_hermite(H: Rows, U: Rows, b: Sequence[int]) -> Vector | None:
+    """solve_columns(cols, b) from (H, U) = hermite_rows(cols)."""
+    # U * cols = H: solve H^T y = b by substituting down the rows of H,
+    # then x = U^T y.
     residual = list(b)
     y = []
     for hrow in H:
@@ -421,6 +426,11 @@ def solve_columns(cols: Rows, b: Sequence[int]) -> Vector | None:
     if any(residual):
         return None
     return tuple(dot(col, y) for col in zip(*U))
+
+
+def solve_columns(cols: Rows, b: Sequence[int]) -> Vector | None:
+    """One integer x with sum x_i cols_i = b, or None when none exists."""
+    return solve_hermite(*hermite_rows(cols), b)
 
 
 def solve_integer(A: IntMatrix, b: Sequence[int]) -> Vector | None:

@@ -27,12 +27,13 @@ from .linalg import (
     column_basis,
     column_index,
     dot,
+    hermite_rows,
     identity,
     independent,
     int_tuple,
     lattice_basis_of_columns,
     rank,
-    solve_columns,
+    solve_hermite,
     solve_integer,
 )
 
@@ -157,6 +158,7 @@ class AffineSemigroup:
 
     @classmethod
     def standard(cls, n: int) -> "AffineSemigroup":
+        (n,) = int_tuple((n,))
         return cls(identity(n), assume_minimal=True)
 
     @property
@@ -260,15 +262,17 @@ def semigroup_member(S, v: Sequence[int]) -> bool:
 
     S may be an AffineSemigroup or a raw iterable of generators spanning a
     pointed cone.  A point outside their group is rejected before the
-    search, which could only learn it by exhausting every node below it."""
+    search, which could only learn it by exhausting every node below it.
+    That test reads the Hermite form of the generators, cached on S."""
     if not isinstance(S, AffineSemigroup):
         S = AffineSemigroup(S, assume_minimal=True)
     solver = S._membership_solver()
+    H, U = S._cached("hermite", lambda: hermite_rows(S.generators))
     v = int_tuple(v)
     if len(v) != S.ambient_rank:
         raise InputError("right-hand side length does not match")
     ev = tuple(dot(f, v) for f in solver.facets)
-    if min(ev) < 0 or solve_columns(S.generators, v) is None:
+    if min(ev) < 0 or solve_hermite(H, U, v) is None:
         return False
     return solver.member_evals(ev)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ from click.testing import CliRunner
 import nashtoric
 from nashtoric import DigraphStore, export_dot
 from nashtoric.cli import main
+
+from conftest import LOOP4_COLS
 
 
 @pytest.fixture
@@ -234,6 +237,24 @@ def test_store_in_missing_directory_fails_before_exploring(runner, chi_file, tmp
     assert not (tmp_path / "no").exists()
 
 
+def test_output_in_missing_directory_fails_before_rendering(runner, tmp_path, monkeypatch):
+    """export-dot -o checks its directory as explore --store does: an
+    error line and exit code 2, not a traceback after the work."""
+    import nashtoric.cli
+
+    def rendered(*args, **kwargs):
+        raise AssertionError("rendered before checking the output path")
+
+    monkeypatch.setattr(nashtoric.cli, "export_dot", rendered)
+    store = tmp_path / "s.jsonl"
+    DigraphStore("normalized", 0, 2).save(str(store))
+    out = tmp_path / "no" / "x.dot"
+    r = runner.invoke(main, ["export-dot", "--store", str(store), "-o", str(out)])
+    assert r.exit_code == 2 and r.stdout == ""
+    assert r.stderr == f"error: cannot write the output {out}: no such directory\n"
+    assert not (tmp_path / "no").exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -253,15 +274,16 @@ def test_directory_as_store_or_output_is_a_usage_error(runner, chi_file, tmp_pat
     assert r.stderr.count("Error:") == 1
 
 
-def _run_process(*args, stdin):
+def _run_process(*args, stdin, **env):
     """python -m nashtoric.cli in a child process, with this package first
-    on its path; CliRunner mixes the two streams, a real process does not."""
+    on its path and env added to its environment; CliRunner mixes the two
+    streams, a real process does not."""
     src = str(Path(nashtoric.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "nashtoric.cli", *args],
         input=stdin, capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -271,3 +293,28 @@ def test_real_process_keys_stdin_and_errors_to_stderr():
     bad = _run_process("canon", "-", stdin="1 junk\n")
     assert bad.returncode == 2 and bad.stdout == ""
     assert bad.stderr.startswith("error: line 1:")
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Child-key sets, chart sets and double-description rows are
+    iterated in hash order before they are sorted.  Under two hash seeds,
+    explore saves the same store bytes and both commands print the same
+    text, but for the sample's elapsed time."""
+    loop = tmp_path / "loop4.txt"
+    loop.write_text("".join(" ".join(map(str, row)) + "\n" for row in zip(*LOOP4_COLS)))
+    runs = []
+    for seed in ("0", "4242"):
+        store = tmp_path / f"loop4-{seed}.jsonl"
+        explore = _run_process(
+            "explore", str(loop), "--char", "2", "--store", str(store),
+            stdin="", PYTHONHASHSEED=seed,
+        )
+        sample = _run_process(
+            "sample", "--mode", "nash", "--rank", "2", "--count", "5", "--json",
+            stdin="", PYTHONHASHSEED=seed,
+        )
+        assert (explore.returncode, explore.stderr, sample.returncode, sample.stderr) == (0, "", 0, "")
+        printed = re.sub(r'"elapsed_seconds": [0-9.e-]+', '"elapsed_seconds": 0', sample.stdout)
+        runs.append((store.read_bytes(), explore.stdout, printed))
+    assert runs[0] == runs[1]
+    assert runs[0][1].startswith("complete: ") and '"resolved": 5' in runs[0][2]

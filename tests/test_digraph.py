@@ -687,6 +687,85 @@ class TestWriterAgainstJson:
         assert both.read_bytes() == _oracle_bytes(a)
 
 
+class TestChildrenTuples:
+    """A vertex's children are one sorted tuple of distinct keys, whatever
+    order add_edge, merge and load insert them in, and () while it is
+    unexpanded.  The model is a plain set of edges; the saved bytes are the
+    oracle's, one json.dumps per record, from the model."""
+
+    @staticmethod
+    def _random_graph(rng, store, count):
+        """count vertices with random rank-2 payloads added to store, and a
+        random set of edges among them and the store's epsilon."""
+        payloads = {store.epsilon: json.loads(CanonicalKey.json_rows(store.epsilon))}
+        while len(payloads) < count + 1:
+            width = rng.randint(1, 3)
+            rows = [[rng.randint(-3, 9) for _ in range(width)] for _ in range(2)]
+            payloads[CanonicalKey.serialize(rows)] = rows
+        for key, rows in payloads.items():
+            store.add_vertex(key, IntMatrix(rows))
+        keys = sorted(payloads)
+        edges = {(a, b) for a in keys for b in keys if rng.random() < 0.3}
+        return payloads, edges | {(store.epsilon, store.epsilon)}
+
+    @staticmethod
+    def _add_shuffled(rng, store, edges):
+        """add_edge over the edges in random order, a third of them twice."""
+        order = sorted(edges) + rng.sample(sorted(edges), len(edges) // 3)
+        rng.shuffle(order)
+        for src, dst in order:
+            store.add_edge(src, dst)
+
+    @staticmethod
+    def _check(store, payloads, edges, path):
+        assert set(store.vertices) == set(payloads)
+        for key in payloads:
+            kids = store.children_of(key)
+            assert type(kids) is tuple and list(kids) == sorted(set(kids))
+            assert set(kids) == {dst for src, dst in edges if src == key}
+        assert store.edges == edges
+        store.save(path)
+        assert path.read_bytes() == "".join(store_lines_by_json(store.meta, payloads, edges)).encode()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_add_edge_merge_and_load_keep_sorted_distinct_children(self, tmp_path, seed):
+        rng = random.Random(seed)
+        path = tmp_path / "s.jsonl"
+        a = DigraphStore("nash", 0, 2)
+        payloads, edges = self._random_graph(rng, a, rng.randint(1, 12))
+        self._add_shuffled(rng, a, edges)
+        self._check(a, payloads, edges, path)
+
+        # b shares some of a's vertices and edges and has its own.
+        b = DigraphStore("nash", 0, 2)
+        shared = rng.sample(sorted(payloads), rng.randint(1, len(payloads)))
+        for key in shared:
+            b.add_vertex(key, IntMatrix(payloads[key]))
+        more, b_edges = self._random_graph(rng, b, len(shared) + rng.randint(1, 6))
+        b_edges |= {e for e in edges if set(e) <= set(shared) and rng.random() < 0.5}
+        self._add_shuffled(rng, b, b_edges)
+        a.merge(b)
+        self._check(a, {**payloads, **more}, edges | b_edges, path)
+
+        lines = path.read_text().splitlines(keepends=True)
+        head = [line for line in lines if '"kind": "edge"' not in line]
+        tail = [line for line in lines if '"kind": "edge"' in line]
+        rng.shuffle(tail)
+        path.write_text("".join(head + tail))
+        loaded = DigraphStore.load(path)
+        self._check(loaded, {**payloads, **more}, edges | b_edges, path)
+
+    def test_expanded_children_are_tuples_and_unexpanded_share_the_empty_one(self):
+        st = DigraphStore("normalized", 3, 4)
+        status = resolution_subgraph(st, Cone(LOOP4_COLS), max_vertices=3)
+        assert isinstance(status, BudgetExhausted) and status.frontier
+        assert all(type(kids) is tuple for kids in st._out.values())
+        unexpanded = [kids for kids in st._out.values() if not kids]
+        assert len(unexpanded) == len(status.frontier)
+        assert all(kids == () for kids in unexpanded)
+        assert len({id(kids) for kids in unexpanded}) == 1
+
+
 @pytest.fixture
 def handoff(monkeypatch):
     """The keys that prefetchers hand to worker processes, in order, and the
