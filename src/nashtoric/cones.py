@@ -22,6 +22,7 @@ from .linalg import (
     _bareiss,
     dot,
     hermite_rows,
+    int_rows,
     int_tuple,
     make_primitive,
 )
@@ -29,20 +30,13 @@ from .linalg import (
 
 def _normalize_columns(generators) -> tuple[Vector, ...]:
     if isinstance(generators, IntMatrix):
-        cols = generators.columns()
-    else:
-        cols = tuple(map(int_tuple, generators))
+        generators = generators.columns()
+    cols = int_rows(generators)
     if not cols:
         raise InputError("a cone needs at least one generator")
-    n = len(cols[0])
-    if n < 1 or any(len(c) != n for c in cols):
-        raise InputError("generators must be nonempty vectors of equal length")
-    out = []
-    for c in cols:
-        if not any(c):
-            raise InputError("zero vector is not a valid cone generator")
-        out.append(make_primitive(c))
-    return tuple(sorted(set(out)))
+    if not all(map(any, cols)):
+        raise InputError("zero vector is not a valid cone generator")
+    return tuple(sorted(set(map(make_primitive, cols))))
 
 
 def _combine(a: int, u: Vector, b: int, v: Vector) -> Vector:
@@ -62,13 +56,8 @@ def dual_description(
     rows u and v extreme by the sign of the 2x2 determinant answer a
     pointed input directly; any other input takes _double_description.
     """
-    rows = set()
-    for a in ineq_rows:
-        t = int_tuple(a)
-        if len(t) != n:
-            raise InputError("inequality row has wrong length")
-        if any(t):
-            rows.add(make_primitive(t))
+    (n,) = int_tuple((n,))
+    rows = set(map(make_primitive, filter(any, int_rows(ineq_rows, n))))
     if n == 2 and rows:
         u = v = next(iter(rows))
         for r in rows:
@@ -80,10 +69,7 @@ def dual_description(
             u[0] * r[1] >= u[1] * r[0] and r[0] * v[1] >= r[1] * v[0] for r in rows
         ):
             return (), tuple(sorted({(-u[1], u[0]), (v[1], -v[0])}))
-    try:
-        return _double_description(rows, n)
-    except TypeError as exc:  # the rows are checked, so n is no integer
-        raise InputError(f"n must be an integer: {exc}") from None
+    return _double_description(rows, n)
 
 
 def _double_description(rows, n: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:

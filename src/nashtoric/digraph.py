@@ -54,7 +54,7 @@ def epsilon_key(mode: str, rank: int) -> CanonicalKey:
 
 def _check_rows(rows) -> None:
     """Raise unless a decoded payload is nonempty rows of ints of one
-    width, as IntMatrix would; bools, which IntMatrix takes, are refused."""
+    width, the rows IntMatrix takes, except bools, which are refused."""
     if any(type(x) is not int for row in rows for x in row):
         raise StoreError("matrix entries must be integers")
     if not rows or not rows[0]:

@@ -7,7 +7,8 @@ are exact for every input; nothing here ever touches floating point.
 Inside the package a matrix is Rows, a tuple of row tuples of Python
 ints, which the kernels take and return unchecked.  A value from outside
 is checked once, where it enters: by the functions and constructors of
-__all__, parse_matrix, CanonicalKey.parse and DigraphStore.load.
+__all__, parse_matrix, CanonicalKey.parse and DigraphStore.load.  The
+check of one vector is int_tuple, and of a list of vectors int_rows.
 IntMatrix, the checked public type, appears only there and where a value
 leaves, as a CanonicalKey's matrix; the public kernels read its data.
 
@@ -54,18 +55,34 @@ def int_tuple(values: Iterable) -> Vector:
         raise InputError(f"entries must be integers: {exc}") from None
 
 
+def int_rows(values: Iterable, width: int | None = None) -> Rows:
+    """values as a tuple of int_tuple rows, each of width entries, or of
+    the first row's when width is None.  values or a row that cannot be
+    iterated, an entry that is no integer, or a row of another length
+    raises InputError."""
+    try:
+        rows = tuple([tuple(map(index, row)) for row in values])
+    except TypeError as exc:
+        raise InputError(f"entries must be integers: {exc}") from None
+    if width is None and rows:
+        width = len(rows[0])
+    for row in rows:
+        if len(row) != width:
+            raise InputError(
+                f"vectors must all have the same length: {width}, not {len(row)}"
+            )
+    return rows
+
+
 class IntMatrix:
     """Immutable integer matrix, stored row-major as tuples of tuples."""
 
     __slots__ = ("_data",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        data = tuple(map(int_tuple, rows))
+        data = int_rows(rows)
         if not data or not data[0]:
             raise InputError("matrix must have at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise InputError("matrix rows must all have the same length")
         self._data = data
 
     @classmethod
@@ -75,14 +92,7 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Iterable[Sequence[int]]) -> "IntMatrix":
-        cols = tuple(map(int_tuple, columns))
-        if not cols:
-            raise InputError("matrix must have at least one column")
-        try:
-            rows = tuple(zip(*cols, strict=True))
-        except ValueError:
-            raise InputError("matrix columns must all have the same length") from None
-        return cls(rows)
+        return cls(zip(*int_rows(columns)))
 
     @property
     def data(self) -> tuple[Vector, ...]:
@@ -400,11 +410,11 @@ def is_basis_modulo(columns: Sequence[Sequence[int]], p: int) -> bool:
     """True iff the n given vectors form a basis of Z^n tensored with a
     field of characteristic p (det nonzero, or nonzero mod p)."""
     p = check_characteristic(p)
-    cols = [tuple(c) for c in columns]
-    n = len(cols[0]) if cols else 0
-    if len(cols) != n or any(len(c) != n for c in cols):
-        raise InputError(f"need exactly {n} vectors of length {n}")
-    d = determinant(IntMatrix.from_columns(cols))
+    cols = int_rows(columns)
+    n = len(cols)
+    if not cols or len(cols[0]) != n:
+        raise InputError("need n >= 1 vectors of length n")
+    d = _bareiss(list(cols), n)[0]
     return d != 0 if p == 0 else d % p != 0
 
 
@@ -437,7 +447,7 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Vector | None:
     """One integer solution x of A x = b, or None when none exists."""
     if len(b) != A.rows:
         raise InputError("right-hand side length does not match")
-    return solve_columns(A.columns(), b)
+    return solve_columns(A.columns(), int_tuple(b))
 
 
 def column_basis(cols: Rows) -> Rows:

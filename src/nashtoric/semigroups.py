@@ -30,6 +30,7 @@ from .linalg import (
     hermite_rows,
     identity,
     independent,
+    int_rows,
     int_tuple,
     lattice_basis_of_columns,
     rank,
@@ -144,16 +145,13 @@ class AffineSemigroup:
     __slots__ = ("_gens", "_n", "_cache")
 
     def __init__(self, generators: Iterable[Sequence[int]], *, assume_minimal=False):
-        gens = tuple(sorted({g for g in map(int_tuple, generators) if any(g)}))
+        gens = tuple(sorted(set(filter(any, int_rows(generators)))))
         if not gens:
             raise InputError("semigroup needs at least one nonzero generator")
-        n = len(gens[0])
-        if any(len(g) != n for g in gens):
-            raise InputError("generators must have equal length")
         if not assume_minimal:
             gens = _minimalize(gens)
         self._gens = gens
-        self._n = n
+        self._n = len(gens[0])
         self._cache: dict = {}
 
     @classmethod

@@ -40,6 +40,30 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
+def test_one_check_for_a_list_of_vectors():
+    """linalg.int_rows is the one check of a list of integer vectors: no
+    code of the package applies int_tuple to the members of a collection,
+    by map(int_tuple, ...) or by a call inside a loop or a comprehension."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                args = [a.id for a in node.args if isinstance(a, ast.Name)]
+                if node.func.id == "map" and args[:1] == ["int_tuple"]:
+                    found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, loops):
+                found += [
+                    f"{path.name}:{call.lineno}"
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "int_tuple"
+                ]
+    assert found == []
+
+
 def test_no_self_recursive_closures():
     """No nested function calls itself by name.  Such a function refers to
     itself through its own closure cell, so it and everything it closes

@@ -171,6 +171,12 @@ class TestRank2DualDescription:
         fast = self._check(_rank2_row_sets(2500, 20261020), monkeypatch)
         assert 500 < fast < 2500
 
+    @pytest.mark.parametrize("rows", [[(1, 0), (0, 1)], [(1, 0), (-1, 0)]])
+    def test_n_checked_on_either_path(self, rows):
+        """A float n is refused on the rank-2 path as on the general one."""
+        with pytest.raises(InputError, match="entries must be integers"):
+            dual_description(rows, 2.0)
+
 
 class TestPredicates:
     def test_pointed(self):

@@ -26,7 +26,7 @@ from nashtoric import (
 )
 from nashtoric.cones import dual_description
 from nashtoric.linalg import adjugate, check_characteristic, independent, rank
-from nashtoric.linalg import reduce_independent
+from nashtoric.linalg import int_rows, reduce_independent
 from nashtoric.linalg import dot, hnf_reduce, hnf_top_entry, solve_integer
 from nashtoric.linalg import lattice_basis_of_columns
 
@@ -51,6 +51,22 @@ class TestIntMatrix:
             IntMatrix([])
         with pytest.raises(InputError):
             IntMatrix([[1, 2], [3]])
+
+    def test_int_rows(self):
+        """The one check of a list of vectors: rows of Python ints, all of
+        the given width or of the first row's; every fault is InputError."""
+        rows = int_rows([(True, np.int64(2)), np.array([3, 4])])
+        assert rows == ((1, 2), (3, 4)) and {type(x) for r in rows for x in r} == {int}
+        assert int_rows([], 3) == () and int_rows([(1, 2)], 2) == ((1, 2),)
+        for values, width in (
+            (None, None),
+            ([5], None),
+            ([(1, 0.5)], None),
+            ([(1, 2), (3,)], None),
+            ([(1, 2)], 3),
+        ):
+            with pytest.raises(InputError):
+                int_rows(values, width)
 
     def test_ragged_columns_rejected(self):
         """Columns of unequal length raise, as ragged rows do, instead of
